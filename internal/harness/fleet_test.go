@@ -153,4 +153,5 @@ func TestFleetSerialParallelIdentical(t *testing.T) {
 		t.Fatalf("serial and parallel fleet reports diverge:\n--- serial ---\n%s\n--- parallel ---\n%s",
 			serial.String(), par.String())
 	}
+	reportPin{477, 0x78532fa8875f7e9b}.check(t, "fleet-mini seed 7", serial.String())
 }

@@ -31,6 +31,22 @@ func fnv64a(s string) uint64 {
 	return h.Sum64()
 }
 
+// reportPin is a rendered report's recorded fingerprint: its byte length
+// and FNV-64a hash.
+type reportPin struct {
+	size int
+	hash uint64
+}
+
+// check fails t when report s no longer matches the pinned fingerprint.
+func (p reportPin) check(t *testing.T, name, s string) {
+	t.Helper()
+	if len(s) != p.size || fnv64a(s) != p.hash {
+		t.Errorf("%s: report fingerprint changed: len=%d hash=%#x, want len=%d hash=%#x\n%s",
+			name, len(s), fnv64a(s), p.size, p.hash, s)
+	}
+}
+
 // TestGoldenReports regenerates the pinned experiments and compares report
 // fingerprints. A failure here means a change altered simulated timing or
 // report formatting — either rebaseline deliberately or find the leak.

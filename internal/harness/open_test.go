@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"strconv"
 	"testing"
 
 	"anykey"
@@ -215,6 +216,10 @@ func TestStormReportGoldenDeterminism(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs the quick storm suite four times")
 	}
+	golden := map[int64]reportPin{
+		1: {2805, 0x32063bf92703313b},
+		7: {2805, 0x5c7ff70772e85acf},
+	}
 	for _, seed := range []int64{1, 7} {
 		serial, err := RunExperiment("storm", ExpOptions{Quick: true, Seed: seed})
 		if err != nil {
@@ -229,5 +234,6 @@ func TestStormReportGoldenDeterminism(t *testing.T) {
 			t.Fatalf("seed %d: sequential and parallel storm reports differ\n--- sequential ---\n%s\n--- parallel ---\n%s",
 				seed, ss, ps)
 		}
+		golden[seed].check(t, "storm seed "+strconv.FormatInt(seed, 10), ss)
 	}
 }

@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -59,6 +60,10 @@ func TestTxnReportGoldenDeterminism(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs the full quick txn sweep four times")
 	}
+	golden := map[int64]reportPin{
+		1: {3135, 0x4161428563e12862},
+		7: {3135, 0x9b2a4342dfcd23d6},
+	}
 	for _, seed := range []int64{1, 7} {
 		serial, err := RunExperiment("txn", ExpOptions{Quick: true, Seed: seed})
 		if err != nil {
@@ -73,6 +78,7 @@ func TestTxnReportGoldenDeterminism(t *testing.T) {
 			t.Fatalf("seed %d: sequential and parallel reports differ\n--- sequential ---\n%s\n--- parallel ---\n%s",
 				seed, ss, ps)
 		}
+		golden[seed].check(t, "txn seed "+strconv.FormatInt(seed, 10), ss)
 		if !strings.Contains(ss, "goodput knee") || !strings.Contains(ss, "router invariance") {
 			t.Fatalf("seed %d: report missing expected tables:\n%s", seed, ss)
 		}
