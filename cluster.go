@@ -52,12 +52,6 @@ type ClusterOptions struct {
 	// (default 64).
 	VirtualNodes int
 
-	// Workers bounds how many shard sub-batches run concurrently inside one
-	// Multi* call (default 1 = serial). Shards are independent virtual-time
-	// simulations, so results are bit-identical at any setting; Workers
-	// trades goroutines for wall-clock time only.
-	Workers int
-
 	// Device configures every member device. Each shard's internal
 	// randomness is decorrelated by offsetting Device.Seed with the shard
 	// index; all other fields apply uniformly. Fault injection
@@ -77,8 +71,9 @@ type ClusterOptions struct {
 	// replicas, reads are read-one with fallback (or read-repair), and the
 	// fleet-only methods — AddShard, RemoveShard, KillShard, RebuildShard —
 	// become available. Requires RouteConsistent (the walk is a ring
-	// property). The zero value keeps the single-copy sharded cluster with
-	// its bit-exact legacy behavior.
+	// property). The zero value keeps one copy per key — a plain sharded
+	// cluster, which may also route by RouteModulo — and rejects the
+	// fleet-only methods with ErrUnsupported.
 	Replication ReplicationOptions
 }
 
@@ -106,9 +101,6 @@ func (o *ClusterOptions) Validate() error {
 	if o.VirtualNodes < 0 {
 		return fmt.Errorf("%w: VirtualNodes %d is negative", ErrInvalidOptions, o.VirtualNodes)
 	}
-	if o.Workers < 0 {
-		return fmt.Errorf("%w: Workers %d is negative", ErrInvalidOptions, o.Workers)
-	}
 	switch o.Router {
 	case RouteConsistent, RouteModulo:
 	default:
@@ -116,9 +108,8 @@ func (o *ClusterOptions) Validate() error {
 	}
 	if o.Device.Faults != nil {
 		// A power cut tears down one device mid-operation via a panic the
-		// facade catches; with per-batch worker goroutines that unwinding
-		// cannot be delivered coherently, so fleet-level fault injection
-		// stays a single-device tool for now.
+		// single-device facade catches; the cluster has no such recovery
+		// path, so fault injection stays a single-device tool for now.
 		return fmt.Errorf("%w: fault injection on a cluster (open the shard as a single Device instead)", ErrUnsupported)
 	}
 	if o.Shards == 0 {
@@ -129,9 +120,6 @@ func (o *ClusterOptions) Validate() error {
 	}
 	if o.VirtualNodes == 0 {
 		o.VirtualNodes = 64
-	}
-	if o.Workers == 0 {
-		o.Workers = 1
 	}
 	if o.Replication.Factor < 0 {
 		return fmt.Errorf("%w: Replication.Factor %d is negative", ErrInvalidOptions, o.Replication.Factor)
@@ -168,24 +156,21 @@ func (o *ClusterOptions) Validate() error {
 
 // Cluster is an open sharded fleet of simulated KV-SSDs behind one
 // keyspace: a hash router over N independent devices, each driven by its
-// own queue-depth-N submission engine in its own virtual clock domain. The
+// own queue-depth-N submission engine in its own virtual clock domain, with
+// Replication.Factor copies of every key (one at the zero Factor). The
 // batch calls (MultiPut/MultiGet/MultiDelete) are the primary interface —
-// they split the batch by shard, submit to every involved shard's engine,
-// and complete at the maximum of the per-shard virtual completion times.
+// they route every key to its shard's engine and complete at the maximum of
+// the involved shards' virtual completion times.
 //
 // Cross-shard time is merged, never propagated, so every result is
-// deterministic and independent of ClusterOptions.Workers.
+// deterministic.
 //
-// Concurrency: per-key operations (Put/Get/Delete and the open-loop *At
-// forms), per-shard ScanShardAt, Stats, Metadata, Now/ShardNow and Close
-// are safe for concurrent use — each shard carries its own lock, so callers
-// driving disjoint shards (one goroutine per shard, as the network server
-// does) never contend. The Multi* batch calls share routing scratch and
-// must not run concurrently with each other.
+// Concurrency: every call is safe for concurrent use. Each shard carries
+// its own lock, so callers driving disjoint shards (one goroutine per
+// shard, as the network server does) never perturb each other's clocks.
 type Cluster struct {
-	c      *cluster.Cluster // single-copy backend (Replication.Factor == 0)
-	f      *fleet.Fleet     // replicated fleet backend (Factor ≥ 1)
-	co     *txn.Coordinator // transaction layer over whichever backend is live
+	f      *fleet.Fleet     // the executor: one copy per key at Factor 0
+	co     *txn.Coordinator // transaction layer over the fleet
 	opts   ClusterOptions
 	closed atomic.Bool
 }
@@ -196,59 +181,42 @@ func OpenCluster(opts ClusterOptions) (*Cluster, error) {
 	if err := opts.Validate(); err != nil {
 		return nil, err
 	}
+	newDev := memberFactory(opts)
 	devs := make([]device.KVSSD, 0, opts.Shards)
 	var tracers []*trace.Tracer
 	for s := 0; s < opts.Shards; s++ {
-		shardOpts := opts.Device
-		shardOpts.Seed = opts.Device.Seed + int64(s)
-		impl, err := openImpl(&shardOpts)
+		dev, tr, err := newDev(s)
 		if err != nil {
 			return nil, fmt.Errorf("shard %d: %w", s, err)
 		}
-		if opts.Device.Trace != nil {
-			tr := trace.New(trace.Config{
-				Events: opts.Device.Trace.EventBuffer,
-				Ops:    opts.Device.Trace.OpBuffer,
-			})
-			attachTracerTo(impl, tr)
+		devs = append(devs, dev)
+		if tr != nil {
 			tracers = append(tracers, tr)
 		}
-		devs = append(devs, impl)
 	}
-	if opts.Replication.Factor > 0 {
-		f, err := fleet.New(devs, fleet.Config{
-			QueueDepth:   opts.QueueDepth,
-			VirtualNodes: opts.VirtualNodes,
-			Repl:         opts.Replication,
-			NewDevice:    memberFactory(opts),
-			Tracers:      tracers,
-		})
-		if err != nil {
-			return nil, err
-		}
-		cl := &Cluster{f: f, opts: opts}
-		cl.co = txn.New(fleetTxnBackend{f: f}, opts.Txn)
-		return cl, nil
-	}
-	c, err := cluster.New(devs, cluster.Config{
+	return newCluster(devs, tracers, opts)
+}
+
+// newCluster builds the fleet and transaction layer over already-opened
+// shard devices. A zero Replication.Factor runs the fleet at Factor 1.
+func newCluster(devs []device.KVSSD, tracers []*trace.Tracer, opts ClusterOptions) (*Cluster, error) {
+	f, err := fleet.New(devs, fleet.Config{
 		QueueDepth:   opts.QueueDepth,
-		Policy:       opts.Router,
 		VirtualNodes: opts.VirtualNodes,
-		Workers:      opts.Workers,
+		Policy:       opts.Router,
+		Repl:         opts.Replication,
+		NewDevice:    memberFactory(opts),
 		Tracers:      tracers,
 	})
 	if err != nil {
 		return nil, err
 	}
-	cl := &Cluster{c: c, opts: opts}
-	cl.co = txn.New(clusterTxnBackend{c: c}, opts.Txn)
-	return cl, nil
+	return &Cluster{f: f, co: txn.New(fleetTxnBackend{f: f}, opts.Txn), opts: opts}, nil
 }
 
-// memberFactory builds fleet replacement/expansion devices: the same
-// configuration as the initial shards, seeded off the member ID exactly as
-// OpenCluster seeds shard s — so a rebuilt member gets deterministic fresh
-// hardware.
+// memberFactory builds member devices — the initial shards and the fleet's
+// replacement/expansion hardware alike — from one configuration, seeded off
+// the member ID, so a rebuilt member gets deterministic fresh hardware.
 func memberFactory(opts ClusterOptions) fleet.DeviceFactory {
 	return func(memberID int) (device.KVSSD, *trace.Tracer, error) {
 		shardOpts := opts.Device
@@ -277,66 +245,39 @@ func (c *Cluster) gate() error {
 	return nil
 }
 
-// Shards returns the number of member devices (on a fleet: every member
-// ever created, including dead and retired ones — member IDs are stable).
-func (c *Cluster) Shards() int {
-	if c.f != nil {
-		return len(c.f.Members())
-	}
-	return c.c.Shards()
-}
+// Shards returns the number of member devices (every member ever created,
+// including dead and retired ones — member IDs are stable).
+func (c *Cluster) Shards() int { return len(c.f.Members()) }
 
 // Router returns the routing policy in force.
-func (c *Cluster) Router() RouterPolicy {
-	if c.f != nil {
-		return RouteConsistent
-	}
-	return c.c.Policy()
-}
+func (c *Cluster) Router() RouterPolicy { return c.opts.Router }
 
-// ShardFor returns the shard a key routes to (on a fleet: the key's primary
-// — the first member of its replica walk).
-func (c *Cluster) ShardFor(key []byte) int {
-	if c.f != nil {
-		return c.f.PrimaryFor(key)
-	}
-	return c.c.ShardFor(key)
-}
+// ShardFor returns the shard a key routes to (on a replicated cluster: the
+// key's primary — the first member of its replica walk).
+func (c *Cluster) ShardFor(key []byte) int { return c.f.PrimaryFor(key) }
 
 // Now returns the merged cluster clock: the maximum over shard clocks.
-func (c *Cluster) Now() Time {
-	if c.f != nil {
-		return c.f.Now()
-	}
-	return c.c.Now()
-}
+func (c *Cluster) Now() Time { return c.f.Now() }
 
 // ShardNow returns shard s's virtual clock. A wall-clock bridge reads it
 // once per shard to anchor the mapping from real arrival times onto that
 // shard's clock domain.
-func (c *Cluster) ShardNow(s int) Time {
-	if c.f != nil {
-		return c.f.MemberNow(s)
-	}
-	return c.c.ShardNow(s)
-}
+func (c *Cluster) ShardNow(s int) Time { return c.f.MemberNow(s) }
 
-// MultiPut stores keys[i] → values[i] for every i, split by shard and
-// completed at the merged batch time. Per-operation errors are in
+// MultiPut stores keys[i] → values[i] for every i, routed by key and
+// completed at the merged batch time. Batch order is preserved, so
+// duplicate keys resolve to the later write. Per-operation errors are in
 // BatchResult.Errs; the returned error reports only call misuse.
 func (c *Cluster) MultiPut(keys, values [][]byte) (*BatchResult, error) {
 	if err := c.gate(); err != nil {
 		return nil, err
 	}
-	if c.f != nil {
-		if len(keys) != len(values) {
-			return nil, fmt.Errorf("%w: %d keys, %d values", ErrInvalidOptions, len(keys), len(values))
-		}
-		return c.fleetBatch(keys, func(i int) fleet.OpResult {
-			return c.f.Put(keys[i], values[i])
-		}), nil
+	if len(keys) != len(values) {
+		return nil, fmt.Errorf("%w: %d keys, %d values", ErrInvalidOptions, len(keys), len(values))
 	}
-	return c.c.MultiPut(keys, values)
+	return c.f.Batch(len(keys), func(i int) fleet.OpResult {
+		return c.f.Put(keys[i], values[i])
+	}), nil
 }
 
 // MultiGet reads every key. Absent keys report ErrNotFound in
@@ -345,12 +286,9 @@ func (c *Cluster) MultiGet(keys [][]byte) (*BatchResult, error) {
 	if err := c.gate(); err != nil {
 		return nil, err
 	}
-	if c.f != nil {
-		return c.fleetBatch(keys, func(i int) fleet.OpResult {
-			return c.f.Get(keys[i])
-		}), nil
-	}
-	return c.c.MultiGet(keys)
+	return c.f.Batch(len(keys), func(i int) fleet.OpResult {
+		return c.f.Get(keys[i])
+	}), nil
 }
 
 // MultiDelete removes every key (deleting an absent key succeeds).
@@ -358,69 +296,9 @@ func (c *Cluster) MultiDelete(keys [][]byte) (*BatchResult, error) {
 	if err := c.gate(); err != nil {
 		return nil, err
 	}
-	if c.f != nil {
-		return c.fleetBatch(keys, func(i int) fleet.OpResult {
-			return c.f.Delete(keys[i])
-		}), nil
-	}
-	return c.c.MultiDelete(keys)
-}
-
-// fleetBatch runs a replicated batch one key at a time (replica fan-out
-// happens inside each op) and reassembles the cluster batch shape: the
-// representative completion, the primary shard, and the op verdict per
-// input, with the batch span merged over every replica attempt.
-func (c *Cluster) fleetBatch(keys [][]byte, op func(i int) fleet.OpResult) *BatchResult {
-	out := &BatchResult{
-		Completions: make([]Completion, len(keys)),
-		Shards:      make([]int, len(keys)),
-		Errs:        make([]error, len(keys)),
-		Start:       c.f.Now(),
-	}
-	for i := range keys {
-		res := op(i)
-		out.Completions[i] = fleetCompletion(res)
-		if len(res.Owners) > 0 {
-			out.Shards[i] = res.Owners[0]
-		}
-		out.Errs[i] = res.Err
-		for _, ra := range res.Replicas {
-			if ra.Comp.Done > out.Done {
-				out.Done = ra.Comp.Done
-			}
-		}
-	}
-	return out
-}
-
-// fleetCompletion picks one representative host completion out of a
-// replicated result: a read's serving replica, a write's quorum-defining
-// replica (the one whose Done is the acknowledgment instant), or — on
-// failure — the latest attempt, so callers still see the op's span.
-func fleetCompletion(res fleet.OpResult) Completion {
-	if res.Served >= 0 {
-		for _, ra := range res.Replicas {
-			if ra.Member == res.Served {
-				comp := ra.Comp
-				comp.Value = res.Value
-				return comp
-			}
-		}
-	}
-	if res.Acked {
-		for _, ra := range res.Replicas {
-			if ra.Err == nil && ra.Comp.Done == res.AckDone {
-				return ra.Comp
-			}
-		}
-	}
-	var best Completion
-	for _, ra := range res.Replicas {
-		if ra.Comp.Done >= best.Done {
-			best = ra.Comp
-		}
-	}
-	return best
+	return c.f.Batch(len(keys), func(i int) fleet.OpResult {
+		return c.f.Delete(keys[i])
+	}), nil
 }
 
 // Put stores one pair on its shard and returns the simulated latency.
@@ -428,27 +306,19 @@ func (c *Cluster) Put(key, value []byte) (Duration, error) {
 	if err := c.gate(); err != nil {
 		return 0, err
 	}
-	if c.f != nil {
-		res := c.f.Put(key, value)
-		return fleetCompletion(res).Latency(), res.Err
-	}
-	comp, err := c.c.Put(key, value)
-	return comp.Latency(), err
+	res := c.f.Put(key, value)
+	return res.Completion().Latency(), res.Err
 }
 
-// Get reads one key from its shard. The value is owned by the shard device
-// and valid until its next operation; use MultiGet for caller-owned copies.
+// Get reads one key from its shard. The value is a copy owned by the
+// caller.
 func (c *Cluster) Get(key []byte) ([]byte, Duration, error) {
 	if err := c.gate(); err != nil {
 		return nil, 0, err
 	}
-	if c.f != nil {
-		res := c.f.Get(key)
-		comp := fleetCompletion(res)
-		return comp.Value, comp.Latency(), res.Err
-	}
-	comp, err := c.c.Get(key)
-	return comp.Value, comp.Latency(), err
+	res := c.f.Get(key)
+	comp := res.Completion()
+	return comp.Value, comp.Latency(), res.Err
 }
 
 // Delete removes one key on its shard and returns the simulated latency.
@@ -456,12 +326,8 @@ func (c *Cluster) Delete(key []byte) (Duration, error) {
 	if err := c.gate(); err != nil {
 		return 0, err
 	}
-	if c.f != nil {
-		res := c.f.Delete(key)
-		return fleetCompletion(res).Latency(), res.Err
-	}
-	comp, err := c.c.Delete(key)
-	return comp.Latency(), err
+	res := c.f.Delete(key)
+	return res.Completion().Latency(), res.Err
 }
 
 // PutAt is the open-loop Put: the request arrives at the routed shard at
@@ -473,11 +339,7 @@ func (c *Cluster) PutAt(arrival Time, key, value []byte) (Completion, int, error
 	if err := c.gate(); err != nil {
 		return Completion{}, 0, err
 	}
-	if c.f != nil {
-		res := c.f.PutAt(constArrival(arrival), key, value)
-		return fleetResult(res)
-	}
-	return c.c.PutAt(arrival, key, value)
+	return opOutcome(c.f.PutAt(constArrival(arrival), key, value))
 }
 
 // constArrival maps one client arrival instant onto every replica's clock
@@ -488,26 +350,18 @@ func constArrival(at Time) fleet.ArrivalFunc {
 	return func(int) Time { return at }
 }
 
-// fleetResult adapts a replicated result to the (completion, shard, error)
-// single-copy signature: the representative completion and the primary.
-func fleetResult(res fleet.OpResult) (Completion, int, error) {
-	primary := 0
-	if len(res.Owners) > 0 {
-		primary = res.Owners[0]
-	}
-	return fleetCompletion(res), primary, res.Err
+// opOutcome adapts a fleet result to the (completion, shard, error) shape:
+// the representative completion and the primary.
+func opOutcome(res fleet.OpResult) (Completion, int, error) {
+	return res.Completion(), res.Primary(), res.Err
 }
 
-// GetAt is the open-loop Get. The value is owned by the shard device and
-// valid until its next operation.
+// GetAt is the open-loop Get. The value is a copy owned by the caller.
 func (c *Cluster) GetAt(arrival Time, key []byte) (Completion, int, error) {
 	if err := c.gate(); err != nil {
 		return Completion{}, 0, err
 	}
-	if c.f != nil {
-		return fleetResult(c.f.GetAt(constArrival(arrival), key))
-	}
-	return c.c.GetAt(arrival, key)
+	return opOutcome(c.f.GetAt(constArrival(arrival), key))
 }
 
 // DeleteAt is the open-loop Delete.
@@ -515,10 +369,7 @@ func (c *Cluster) DeleteAt(arrival Time, key []byte) (Completion, int, error) {
 	if err := c.gate(); err != nil {
 		return Completion{}, 0, err
 	}
-	if c.f != nil {
-		return fleetResult(c.f.DeleteAt(constArrival(arrival), key))
-	}
-	return c.c.DeleteAt(arrival, key)
+	return opOutcome(c.f.DeleteAt(constArrival(arrival), key))
 }
 
 // ScanShardAt is the open-loop range query against one shard: up to n pairs
@@ -533,10 +384,7 @@ func (c *Cluster) ScanShardAt(shard int, arrival Time, start []byte, n int) (Com
 	if shard < 0 || shard >= c.Shards() {
 		return Completion{}, fmt.Errorf("%w: shard %d of %d", ErrInvalidOptions, shard, c.Shards())
 	}
-	if c.f != nil {
-		return c.f.ScanAt(shard, arrival, start, n)
-	}
-	return c.c.ScanAt(shard, arrival, start, n)
+	return c.f.ScanAt(shard, arrival, start, n)
 }
 
 // Sync flushes every shard (a fleet-wide FLUSH) and returns the merged
@@ -549,10 +397,7 @@ func (c *Cluster) Sync() (Time, error) {
 	if err := c.co.Flush(); err != nil {
 		return 0, fmt.Errorf("anykey: split-phase flush: %w", err)
 	}
-	if c.f != nil {
-		return c.f.Sync()
-	}
-	return c.c.Sync()
+	return c.f.Sync()
 }
 
 // Barrier drains every shard's in-flight requests and returns the merged
@@ -561,10 +406,7 @@ func (c *Cluster) Barrier() (Time, error) {
 	if err := c.gate(); err != nil {
 		return 0, err
 	}
-	if c.f != nil {
-		return c.f.Barrier(), nil
-	}
-	return c.c.Barrier(), nil
+	return c.f.Barrier(), nil
 }
 
 // ResetBreakdowns clears every shard engine's queue-wait/service histograms,
@@ -573,11 +415,7 @@ func (c *Cluster) ResetBreakdowns() {
 	if c.closed.Load() {
 		return
 	}
-	if c.f != nil {
-		c.f.ResetBreakdowns()
-		return
-	}
-	c.c.ResetBreakdowns()
+	c.f.ResetBreakdowns()
 }
 
 // Stats merges every shard's live statistics into one rollup with a
@@ -585,40 +423,20 @@ func (c *Cluster) ResetBreakdowns() {
 // under each shard's lock, so Stats is safe to call concurrently with
 // in-flight operations — a metrics scraper never observes a shard
 // mid-operation.
-func (c *Cluster) Stats() ClusterStats {
-	if c.f != nil {
-		return c.f.CollectStats().Stats
-	}
-	return c.c.CollectStats()
-}
+func (c *Cluster) Stats() ClusterStats { return c.f.CollectStats().Stats }
 
 // Metadata merges the shards' metadata reports, summing same-named
 // structures.
-func (c *Cluster) Metadata() []MetaStructure {
-	if c.f != nil {
-		return c.f.Metadata()
-	}
-	return c.c.Metadata()
-}
+func (c *Cluster) Metadata() []MetaStructure { return c.f.Metadata() }
 
 // Blame merges every shard tracer's blame report into one cluster-wide
 // attribution. Nil when the cluster was opened without Device.Trace.
-func (c *Cluster) Blame(opts BlameOptions) *BlameReport {
-	if c.f != nil {
-		return c.f.Blame(opts)
-	}
-	return c.c.Blame(opts)
-}
+func (c *Cluster) Blame(opts BlameOptions) *BlameReport { return c.f.Blame(opts) }
 
 // Tracers returns the per-shard tracers, or nil when the cluster was
 // opened without Device.Trace. Open-loop clients use them to annotate shard
 // op records with timeout/retry attribution.
-func (c *Cluster) Tracers() []*Tracer {
-	if c.f != nil {
-		return c.f.Tracers()
-	}
-	return c.c.Tracers()
-}
+func (c *Cluster) Tracers() []*Tracer { return c.f.Tracers() }
 
 // WriteChromeTrace writes the merged fleet trace as Chrome trace_event
 // JSON: shard i's rows appear as processes named "shardN …" at a disjoint
@@ -655,11 +473,7 @@ func (c *Cluster) CacheStats() (CacheStats, bool) {
 // holds no other external resources).
 func (c *Cluster) Close() error {
 	if c.closed.CompareAndSwap(false, true) {
-		if c.f != nil {
-			c.f.ReleaseMemory()
-		} else {
-			c.c.ReleaseMemory()
-		}
+		c.f.ReleaseMemory()
 	}
 	return nil
 }

@@ -74,7 +74,7 @@ func (c *Cluster) fleetGate() error {
 	if err := c.gate(); err != nil {
 		return err
 	}
-	if c.f == nil {
+	if c.opts.Replication.Factor == 0 {
 		return fmt.Errorf("%w: cluster opened without Replication (set ClusterOptions.Replication.Factor)", ErrUnsupported)
 	}
 	return nil
@@ -82,12 +82,7 @@ func (c *Cluster) fleetGate() error {
 
 // Replication returns the replica protocol in force (zero Factor on a
 // non-replicated cluster).
-func (c *Cluster) Replication() ReplicationOptions {
-	if c.f == nil {
-		return ReplicationOptions{}
-	}
-	return c.f.Replication()
-}
+func (c *Cluster) Replication() ReplicationOptions { return c.opts.Replication }
 
 // AddShard brings a fresh member device into the ring — same configuration
 // as the initial shards, seeded by its member ID — and returns the
@@ -132,12 +127,7 @@ func (c *Cluster) RebuildShard(id int) (*Rebuild, error) {
 }
 
 // Migrating returns the in-flight topology change's status.
-func (c *Cluster) Migrating() MigrationStatus {
-	if c.f == nil {
-		return MigrationStatus{}
-	}
-	return c.f.Migrating()
-}
+func (c *Cluster) Migrating() MigrationStatus { return c.f.Migrating() }
 
 // ShardState returns member id's lifecycle state ("alive", "dead",
 // "rebuilding", "retired") and, for dead members, the kill cause.
@@ -182,8 +172,3 @@ func (c *Cluster) FleetDeleteAt(arrival ArrivalFunc, key []byte) (FleetOpResult,
 	}
 	return c.f.DeleteAt(arrival, key), nil
 }
-
-// Fleet exposes the underlying fleet to internal drivers (the harness runs
-// its durability oracle against per-replica results). Nil on a
-// non-replicated cluster.
-func (c *Cluster) Fleet() *fleet.Fleet { return c.f }

@@ -212,3 +212,33 @@ func TestFleetSentinelRoundTrips(t *testing.T) {
 		t.Fatalf("get with all dead: %v, want ErrShardDown", err)
 	}
 }
+
+// TestPutOnFullShardKeepsCause fills tiny shards until a Put fails and
+// requires the verdict to carry the device's cause: errors.Is matches
+// ErrDeviceFull as well as the fleet's ErrQuorumNotMet, with one copy per
+// key and with two.
+func TestPutOnFullShardKeepsCause(t *testing.T) {
+	for _, factor := range []int{0, 2} {
+		o := ClusterOptions{
+			Shards:      2,
+			Device:      Options{CapacityMB: 2, Channels: 2, ChipsPerChannel: 2},
+			Replication: ReplicationOptions{Factor: factor},
+		}
+		c, err := OpenCluster(o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		val := bytes.Repeat([]byte{'v'}, 4000)
+		var putErr error
+		for i := 0; i < 10000 && putErr == nil; i++ {
+			_, putErr = c.Put([]byte(fmt.Sprintf("fill-%06d", i)), val)
+		}
+		c.Close()
+		if putErr == nil {
+			t.Fatalf("factor %d: shards never filled", factor)
+		}
+		if !errors.Is(putErr, ErrDeviceFull) || !errors.Is(putErr, ErrQuorumNotMet) {
+			t.Errorf("factor %d: full-shard Put returned %v, want ErrDeviceFull wrapped in ErrQuorumNotMet", factor, putErr)
+		}
+	}
+}

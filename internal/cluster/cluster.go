@@ -1,62 +1,20 @@
-// Package cluster is the host-side scale-out layer over the simulated
-// KV-SSDs: a hash router spreading one keyspace across N independent shard
-// devices, each driven by its own queue-depth-N host engine in its own
-// virtual clock domain, with batched submission as the primary interface.
-//
-// The layer reproduces the standard deployment shape for KV-SSD fleets
-// (host-side sharding, as surveyed by Doekemeijer & Trivedi and exercised by
-// partitioned stores like F2): no shard ever sees another shard's keys, so
-// each shard remains a single-goroutine virtual-time simulation, and the
-// cluster coordinates them only at observation points.
-//
-// # Clock domains and the virtual-time merger
-//
-// Every shard's engine starts at the simulation epoch and advances only when
-// that shard carries requests, so the shards' clocks drift apart exactly as
-// much as the workload is imbalanced. Cross-shard instants are merged, never
-// propagated: a batch completes at the maximum of its per-shard completion
-// times, the cluster clock Now() is the maximum over shard clocks, and
-// throughput over a phase is measured against the slowest shard's elapsed
-// virtual time. Because no merged value ever feeds back into any shard's
-// schedule, executing shard sub-batches serially or on parallel goroutines
-// produces bit-identical completions, stats and traces.
-//
-// # Batches
-//
-// MultiPut/MultiGet/MultiDelete split the caller's batch by routing each key,
-// preserve the caller's order within every shard (two writes to one key in a
-// batch resolve to the later one), submit every sub-batch closed-loop through
-// the shard's engine, and report per-operation completions plus the merged
-// batch span.
-//
-// # Concurrency
-//
-// Every engine- or device-touching path takes its shard's mutex, so two
-// rules fall out. First, concurrent callers that drive DISJOINT shards (the
-// network server runs one goroutine per shard) never contend and never
-// perturb each other's virtual clocks. Second, CollectStats snapshots each
-// shard under that same mutex, so a metrics scraper may run concurrently
-// with in-flight operations and always sees a consistent per-shard snapshot
-// (it cannot observe a device mid-operation). The locks serialize access
-// without reordering it — single-threaded callers see bit-identical results
-// with or without a concurrent observer. Multi* batches share routing
-// scratch and remain single-caller-at-a-time.
+// Package cluster holds what every host-side sharding path shares: the
+// consistent-hash Ring and the routing hash keys are placed with, the
+// routing Policy, the batch vocabulary (BatchOp, BatchResult) and the
+// merged statistics shape (Stats, ShardStats). The executor that routes
+// operations onto member devices lives in internal/cluster/fleet.
 package cluster
 
 import (
-	"errors"
 	"fmt"
 	"slices"
-	"sync"
 
 	"anykey/internal/cache"
 	"anykey/internal/device"
 	"anykey/internal/host"
-	"anykey/internal/kv"
 	"anykey/internal/nand"
 	"anykey/internal/sim"
 	"anykey/internal/stats"
-	"anykey/internal/trace"
 	"anykey/internal/xxhash"
 )
 
@@ -87,107 +45,10 @@ func (p Policy) String() string {
 	return fmt.Sprintf("policy(%d)", int(p))
 }
 
-// Config parameterises a cluster over already-constructed shard devices.
-type Config struct {
-	// QueueDepth is each shard engine's submission queue depth (default 1).
-	QueueDepth int
-
-	// Policy is the routing policy (default RouteConsistent).
-	Policy Policy
-
-	// VirtualNodes is the ring points per shard under RouteConsistent
-	// (default 64). More points smooth the key balance at the cost of a
-	// larger ring.
-	VirtualNodes int
-
-	// Workers bounds how many shard sub-batches run concurrently inside one
-	// MultiPut/MultiGet/MultiDelete (default 1 = serial). Results are
-	// bit-identical at any setting; Workers only trades goroutines for
-	// wall-clock time.
-	Workers int
-
-	// Tracers, when non-nil, holds one tracer per shard; each is attached to
-	// that shard's engine (the caller attaches the same tracer to the shard
-	// device underneath). len(Tracers) must equal the shard count.
-	Tracers []*trace.Tracer
-}
-
-// shard is one member device with its private engine and clock domain. mu
-// guards the engine, the device beneath it and the ops tally: operations
-// hold it while they run, and stats collection holds it while it snapshots,
-// so an observer never reads a device mid-operation.
-type shard struct {
-	mu  sync.Mutex
-	dev device.KVSSD
-	eng *host.Engine
-	tr  *trace.Tracer
-	ops int64
-}
-
-// Cluster routes one keyspace across N shard devices.
-type Cluster struct {
-	shards  []*shard
-	ring    Ring // only under RouteConsistent
-	policy  Policy
-	workers int
-
-	// scratch buffers reused across batches: per-shard op-index lists and
-	// the involved-shard list, so steady-state routing allocates nothing.
-	byShard  [][]int
-	involved []int
-}
-
 // ringPoint is one virtual node: a hash position owned by a member.
 type ringPoint struct {
 	hash   uint32
 	member int32
-}
-
-// New builds a cluster over devs. Each device gets its own engine of
-// cfg.QueueDepth starting at the simulation epoch.
-func New(devs []device.KVSSD, cfg Config) (*Cluster, error) {
-	if len(devs) == 0 {
-		return nil, errors.New("cluster: no shard devices")
-	}
-	if cfg.QueueDepth == 0 {
-		cfg.QueueDepth = 1
-	}
-	if cfg.VirtualNodes == 0 {
-		cfg.VirtualNodes = 64
-	}
-	if cfg.VirtualNodes < 1 {
-		return nil, fmt.Errorf("cluster: %d virtual nodes; need at least 1", cfg.VirtualNodes)
-	}
-	if cfg.Workers == 0 {
-		cfg.Workers = 1
-	}
-	if _, ok := policyNames[cfg.Policy]; !ok {
-		return nil, fmt.Errorf("cluster: unknown routing policy %v", cfg.Policy)
-	}
-	if cfg.Tracers != nil && len(cfg.Tracers) != len(devs) {
-		return nil, fmt.Errorf("cluster: %d tracers for %d shards", len(cfg.Tracers), len(devs))
-	}
-	c := &Cluster{
-		policy:  cfg.Policy,
-		workers: cfg.Workers,
-		byShard: make([][]int, len(devs)),
-	}
-	for i, dev := range devs {
-		eng, err := host.New(dev, cfg.QueueDepth)
-		if err != nil {
-			return nil, fmt.Errorf("cluster: shard %d: %w", i, err)
-		}
-		sh := &shard{dev: dev, eng: eng}
-		if cfg.Tracers != nil {
-			sh.tr = cfg.Tracers[i]
-			eng.SetTracer(sh.tr)
-		}
-		c.shards = append(c.shards, sh)
-	}
-	if cfg.Policy == RouteConsistent {
-		c.ring = BuildRing(seqMembers(len(devs)), cfg.VirtualNodes)
-	}
-	return c, nil
 }
 
 // Ring is the consistent-hash ring over a set of member IDs: VirtualNodes
@@ -197,16 +58,6 @@ func New(devs []device.KVSSD, cfg Config) (*Cluster, error) {
 // is empty.
 type Ring struct {
 	points []ringPoint
-}
-
-// seqMembers returns the member IDs 0..n-1 — the fixed-fleet layout, where
-// members are just shard indices.
-func seqMembers(n int) []int32 {
-	ids := make([]int32, n)
-	for i := range ids {
-		ids[i] = int32(i)
-	}
-	return ids
 }
 
 // BuildRing hashes vnodes points per member onto the ring and sorts them.
@@ -310,84 +161,6 @@ func containsMember(ids []int32, m int32) bool {
 	return false
 }
 
-// Shards returns the number of shards.
-func (c *Cluster) Shards() int { return len(c.shards) }
-
-// Depth returns the per-shard engine queue depth.
-func (c *Cluster) Depth() int { return c.shards[0].eng.Depth() }
-
-// Policy returns the routing policy in force.
-func (c *Cluster) Policy() Policy { return c.policy }
-
-// ShardFor returns the shard a key routes to.
-func (c *Cluster) ShardFor(key []byte) int {
-	h := hashBytes(key)
-	if c.policy == RouteModulo {
-		return int(h % uint32(len(c.shards)))
-	}
-	return int(c.ring.OwnerHash(h))
-}
-
-// Now returns the merged cluster clock: the maximum over shard clocks.
-func (c *Cluster) Now() sim.Time {
-	var m sim.Time
-	for _, sh := range c.shards {
-		sh.mu.Lock()
-		t := sh.eng.Now()
-		sh.mu.Unlock()
-		if t > m {
-			m = t
-		}
-	}
-	return m
-}
-
-// ShardNow returns shard s's clock — the epoch a wall-clock bridge maps
-// real arrival times onto.
-func (c *Cluster) ShardNow(s int) sim.Time {
-	sh := c.shards[s]
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	return sh.eng.Now()
-}
-
-// Ops returns the total requests completed across all shards.
-func (c *Cluster) Ops() int64 {
-	var n int64
-	for _, sh := range c.shards {
-		sh.mu.Lock()
-		n += sh.ops
-		sh.mu.Unlock()
-	}
-	return n
-}
-
-// Barrier drains every shard's in-flight requests, aligning each shard's
-// slot clocks internally (clock domains stay independent — no shard's clock
-// is pushed to another's), and returns the merged cluster time.
-func (c *Cluster) Barrier() sim.Time {
-	var m sim.Time
-	for _, sh := range c.shards {
-		sh.mu.Lock()
-		t := sh.eng.Barrier()
-		sh.mu.Unlock()
-		if t > m {
-			m = t
-		}
-	}
-	return m
-}
-
-// ResetBreakdowns clears every shard engine's queue-wait/service histograms
-// (the harness calls this at its warm-up/measurement barrier).
-func (c *Cluster) ResetBreakdowns() {
-	for _, sh := range c.shards {
-		sh.mu.Lock()
-		sh.eng.ResetBreakdown()
-		sh.mu.Unlock()
-	}
-}
-
 // BatchResult reports one batch: a completion, routed shard and error per
 // input operation (input order preserved), plus the merged batch span.
 type BatchResult struct {
@@ -428,126 +201,6 @@ func (b *BatchResult) FirstErr() error {
 	return nil
 }
 
-// route partitions n operations by shard, filling the reusable per-shard
-// index lists, and returns the involved shards in ascending order.
-func (c *Cluster) route(n int, keyAt func(int) []byte) []int {
-	for _, s := range c.involved {
-		c.byShard[s] = c.byShard[s][:0]
-	}
-	c.involved = c.involved[:0]
-	for i := 0; i < n; i++ {
-		s := c.ShardFor(keyAt(i))
-		if len(c.byShard[s]) == 0 {
-			c.involved = append(c.involved, s)
-		}
-		c.byShard[s] = append(c.byShard[s], i)
-	}
-	// involved accumulated in first-use order; sort ascending so worker
-	// scheduling and progress output are stable. Shard counts are small.
-	for i := 1; i < len(c.involved); i++ {
-		for j := i; j > 0 && c.involved[j] < c.involved[j-1]; j-- {
-			c.involved[j], c.involved[j-1] = c.involved[j-1], c.involved[j]
-		}
-	}
-	return c.involved
-}
-
-// runBatch executes one partitioned batch: exec runs input operation i on
-// its shard, in input order within the shard. Sub-batches run serially or on
-// up to c.workers goroutines; per-shard state is only ever touched by the
-// one goroutine carrying that shard, so results are identical either way.
-func (c *Cluster) runBatch(n int, keyAt func(int) []byte, exec func(sh *shard, i int) (host.Completion, error)) *BatchResult {
-	res := &BatchResult{
-		Completions: make([]host.Completion, n),
-		Shards:      make([]int, n),
-		Errs:        make([]error, n),
-	}
-	involved := c.route(n, keyAt)
-	for _, s := range involved {
-		for _, i := range c.byShard[s] {
-			res.Shards[i] = s
-		}
-		sh := c.shards[s]
-		sh.mu.Lock()
-		now := sh.eng.Now()
-		sh.mu.Unlock()
-		if now > res.Start {
-			res.Start = now
-		}
-	}
-	runShard := func(s int) {
-		sh := c.shards[s]
-		sh.mu.Lock()
-		defer sh.mu.Unlock()
-		for _, i := range c.byShard[s] {
-			res.Completions[i], res.Errs[i] = exec(sh, i)
-			sh.ops++
-		}
-	}
-	if c.workers <= 1 || len(involved) <= 1 {
-		for _, s := range involved {
-			runShard(s)
-		}
-	} else {
-		sem := make(chan struct{}, c.workers)
-		var wg sync.WaitGroup
-		for _, s := range involved {
-			wg.Add(1)
-			sem <- struct{}{}
-			go func(s int) {
-				defer wg.Done()
-				runShard(s)
-				<-sem
-			}(s)
-		}
-		wg.Wait()
-	}
-	res.Done = res.Start
-	for _, comp := range res.Completions {
-		if comp.Done > res.Done {
-			res.Done = comp.Done
-		}
-	}
-	return res
-}
-
-// MultiPut stores keys[i] → values[i] for every i, routed by key. Batch
-// order is preserved within each shard, so duplicate keys resolve to the
-// later write.
-func (c *Cluster) MultiPut(keys, values [][]byte) (*BatchResult, error) {
-	if len(keys) != len(values) {
-		return nil, fmt.Errorf("cluster: MultiPut with %d keys and %d values", len(keys), len(values))
-	}
-	return c.runBatch(len(keys), func(i int) []byte { return keys[i] },
-		func(sh *shard, i int) (host.Completion, error) {
-			return sh.eng.Put(keys[i], values[i])
-		}), nil
-}
-
-// MultiGet reads every key. Absent keys report kv.ErrNotFound in Errs;
-// returned values are copies owned by the caller.
-func (c *Cluster) MultiGet(keys [][]byte) (*BatchResult, error) {
-	return c.runBatch(len(keys), func(i int) []byte { return keys[i] },
-		func(sh *shard, i int) (host.Completion, error) {
-			comp, err := sh.eng.Get(keys[i])
-			if comp.Value != nil {
-				// The device owns its value buffer only until the shard's
-				// next operation; a batch returns many values at once, so
-				// each must be copied out.
-				comp.Value = append([]byte(nil), comp.Value...)
-			}
-			return comp, err
-		}), nil
-}
-
-// MultiDelete removes every key (deleting an absent key succeeds).
-func (c *Cluster) MultiDelete(keys [][]byte) (*BatchResult, error) {
-	return c.runBatch(len(keys), func(i int) []byte { return keys[i] },
-		func(sh *shard, i int) (host.Completion, error) {
-			return sh.eng.Delete(keys[i])
-		}), nil
-}
-
 // BatchOp is one operation of a mixed put/delete batch: a Put of Key →
 // Value, or — when Delete is set — a Delete of Key (Value ignored). The
 // transaction layer expresses intent stamping, commits and cleanups as
@@ -556,145 +209,6 @@ type BatchOp struct {
 	Key    []byte
 	Value  []byte
 	Delete bool
-}
-
-// Apply runs a mixed put/delete batch, routed by key with batch order
-// preserved within each shard — MultiPut semantics for a batch whose
-// operations aren't all the same verb.
-func (c *Cluster) Apply(ops []BatchOp) (*BatchResult, error) {
-	return c.runBatch(len(ops), func(i int) []byte { return ops[i].Key },
-		func(sh *shard, i int) (host.Completion, error) {
-			if ops[i].Delete {
-				return sh.eng.Delete(ops[i].Key)
-			}
-			return sh.eng.Put(ops[i].Key, ops[i].Value)
-		}), nil
-}
-
-// SyncShards flushes only the listed shards and returns the merged
-// completion time — the transaction layer's targeted durability barrier
-// (a commit needs its involved shards synced, not the whole fleet).
-func (c *Cluster) SyncShards(shards []int) (sim.Time, error) {
-	var done sim.Time
-	var firstErr error
-	for _, s := range shards {
-		if s < 0 || s >= len(c.shards) {
-			return done, fmt.Errorf("cluster: SyncShards: shard %d of %d", s, len(c.shards))
-		}
-		sh := c.shards[s]
-		sh.mu.Lock()
-		comp, err := sh.eng.Sync()
-		sh.ops++
-		sh.mu.Unlock()
-		if err != nil && firstErr == nil {
-			firstErr = fmt.Errorf("cluster: shard %d sync: %w", s, err)
-		}
-		if comp.Done > done {
-			done = comp.Done
-		}
-	}
-	return done, firstErr
-}
-
-// Put routes one pair to its shard.
-func (c *Cluster) Put(key, value []byte) (host.Completion, error) {
-	sh := c.shards[c.ShardFor(key)]
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	comp, err := sh.eng.Put(key, value)
-	sh.ops++
-	return comp, err
-}
-
-// Get routes one read to its shard. The value is device-owned, valid until
-// the shard's next operation — single-key reads skip the batch copy.
-func (c *Cluster) Get(key []byte) (host.Completion, error) {
-	sh := c.shards[c.ShardFor(key)]
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	comp, err := sh.eng.Get(key)
-	sh.ops++
-	return comp, err
-}
-
-// Delete routes one delete to its shard.
-func (c *Cluster) Delete(key []byte) (host.Completion, error) {
-	sh := c.shards[c.ShardFor(key)]
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	comp, err := sh.eng.Delete(key)
-	sh.ops++
-	return comp, err
-}
-
-// PutAt is the open-loop Put: the request arrives at the routed shard at
-// the given instant of that shard's clock domain (shard clocks are
-// independent; callers track a per-shard epoch). The shard index is
-// returned so callers can account routing before submitting.
-func (c *Cluster) PutAt(arrival sim.Time, key, value []byte) (host.Completion, int, error) {
-	s := c.ShardFor(key)
-	sh := c.shards[s]
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	comp, err := sh.eng.PutAt(arrival, key, value)
-	sh.ops++
-	return comp, s, err
-}
-
-// GetAt is the open-loop Get. Like Get, the value is device-owned and valid
-// until the shard's next operation.
-func (c *Cluster) GetAt(arrival sim.Time, key []byte) (host.Completion, int, error) {
-	s := c.ShardFor(key)
-	sh := c.shards[s]
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	comp, err := sh.eng.GetAt(arrival, key)
-	sh.ops++
-	return comp, s, err
-}
-
-// DeleteAt is the open-loop Delete.
-func (c *Cluster) DeleteAt(arrival sim.Time, key []byte) (host.Completion, int, error) {
-	s := c.ShardFor(key)
-	sh := c.shards[s]
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	comp, err := sh.eng.DeleteAt(arrival, key)
-	sh.ops++
-	return comp, s, err
-}
-
-// ScanAt is the open-loop range query against ONE shard: scans see only the
-// keys routed to that shard, so a cluster-wide scan fans one ScanAt out to
-// every shard and merges the sorted sub-results (the network server's SCAN
-// does exactly this from its per-shard loops).
-func (c *Cluster) ScanAt(s int, arrival sim.Time, start []byte, n int) (host.Completion, error) {
-	sh := c.shards[s]
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	comp, err := sh.eng.ScanAt(arrival, start, n)
-	sh.ops++
-	return comp, err
-}
-
-// Sync flushes every shard (an NVMe FLUSH fanned out cluster-wide) and
-// returns the merged completion time.
-func (c *Cluster) Sync() (sim.Time, error) {
-	var done sim.Time
-	var firstErr error
-	for i, sh := range c.shards {
-		sh.mu.Lock()
-		comp, err := sh.eng.Sync()
-		sh.ops++
-		sh.mu.Unlock()
-		if err != nil && firstErr == nil {
-			firstErr = fmt.Errorf("cluster: shard %d sync: %w", i, err)
-		}
-		if comp.Done > done {
-			done = comp.Done
-		}
-	}
-	return done, firstErr
 }
 
 // ShardStats is the per-shard slice of a cluster stats rollup.
@@ -750,69 +264,6 @@ type Stats struct {
 	PerShard []ShardStats
 }
 
-// CollectStats merges every shard's live statistics into one rollup. Each
-// shard is snapshotted under its mutex, so CollectStats is safe to call
-// concurrently with in-flight operations: the scraper observes every shard
-// between operations, never mid-flight.
-func (c *Cluster) CollectStats() Stats {
-	out := Stats{
-		Shards:       len(c.shards),
-		ReadAccesses: stats.NewIntHist(8),
-		PerShard:     make([]ShardStats, 0, len(c.shards)),
-	}
-	for i, sh := range c.shards {
-		sh.mu.Lock()
-		st := sh.dev.Stats()
-		var fc nand.Counters
-		if st.Flash != nil {
-			fc = st.Flash()
-		}
-		ss := ShardStats{
-			Shard:              i,
-			Ops:                sh.ops,
-			Now:                sh.eng.Now(),
-			LiveKeys:           st.LiveKeys,
-			LiveBytes:          st.LiveBytes,
-			Flash:              fc,
-			TreeCompactions:    st.TreeCompactions,
-			LogCompactions:     st.LogCompactions,
-			ChainedCompactions: st.ChainedCompactions,
-			GCRuns:             st.GCRuns,
-			GCRelocations:      st.GCRelocations,
-			Store:              device.FootprintOf(sh.dev),
-			Cache:              CacheStatsOf(sh.dev),
-		}
-		if st.ReadAccesses != nil {
-			out.ReadAccesses.Merge(st.ReadAccesses)
-		}
-		qw, sv := sh.eng.Breakdown()
-		sh.mu.Unlock()
-		out.PerShard = append(out.PerShard, ss)
-		out.Ops += ss.Ops
-		if ss.Now > out.Now {
-			out.Now = ss.Now
-		}
-		out.LiveKeys += ss.LiveKeys
-		out.LiveBytes += ss.LiveBytes
-		out.Flash = out.Flash.Add(fc)
-		out.TreeCompactions += ss.TreeCompactions
-		out.LogCompactions += ss.LogCompactions
-		out.ChainedCompactions += ss.ChainedCompactions
-		out.GCRuns += ss.GCRuns
-		out.GCRelocations += ss.GCRelocations
-		out.Store = out.Store.Add(ss.Store)
-		if ss.Cache != nil {
-			if out.Cache == nil {
-				out.Cache = &cache.Stats{}
-			}
-			*out.Cache = out.Cache.Add(*ss.Cache)
-		}
-		out.QueueWait.Merge(&qw)
-		out.Service.Merge(&sv)
-	}
-	return out
-}
-
 // CacheStatsOf snapshots the host-cache counters of a (possibly wrapped)
 // shard device; nil when the shard runs uncached.
 func CacheStatsOf(dev device.KVSSD) *cache.Stats {
@@ -823,92 +274,15 @@ func CacheStatsOf(dev device.KVSSD) *cache.Stats {
 	return nil
 }
 
-// ReleaseMemory eagerly frees every shard's page-payload memory (cluster
-// close), each shard under its mutex so any in-flight operation on it
-// finishes first. Sequential multi-fleet harness runs rely on this to keep
-// only the live fleet's pages in the heap.
-func (c *Cluster) ReleaseMemory() {
-	for _, sh := range c.shards {
-		sh.mu.Lock()
-		device.ReleaseMemory(sh.dev)
-		sh.mu.Unlock()
-	}
-}
-
-// Metadata merges the shards' metadata reports: structures with the same
-// name and placement sum their bytes, keeping shard 0's row order.
-func (c *Cluster) Metadata() []device.MetaStructure {
-	type slot struct{ idx int }
-	var out []device.MetaStructure
-	index := map[string]slot{}
-	for _, sh := range c.shards {
-		sh.mu.Lock()
-		meta := sh.dev.Metadata()
-		sh.mu.Unlock()
-		for _, m := range meta {
-			key := m.Name
-			if !m.InDRAM {
-				key += "\x00flash"
-			}
-			if s, ok := index[key]; ok {
-				out[s.idx].Bytes += m.Bytes
-			} else {
-				index[key] = slot{len(out)}
-				out = append(out, m)
-			}
-		}
-	}
-	return out
-}
-
-// Engine returns shard i's host engine (tests and advanced drivers).
-func (c *Cluster) Engine(i int) *host.Engine { return c.shards[i].eng }
-
-// Device returns shard i's underlying KVSSD.
-func (c *Cluster) Device(i int) device.KVSSD { return c.shards[i].dev }
-
-// Tracer returns shard i's tracer (nil when the cluster is untraced).
-func (c *Cluster) Tracer(i int) *trace.Tracer { return c.shards[i].tr }
-
-// Tracers returns the per-shard tracers (nil when the cluster is untraced).
-func (c *Cluster) Tracers() []*trace.Tracer {
-	var out []*trace.Tracer
-	for _, sh := range c.shards {
-		if sh.tr == nil {
-			return nil
-		}
-		out = append(out, sh.tr)
-	}
-	return out
-}
-
-// Blame merges every shard tracer's blame report into one cluster-wide
-// attribution (nil when untraced).
-func (c *Cluster) Blame(opts trace.BlameOptions) *trace.BlameReport {
-	trs := c.Tracers()
-	if trs == nil {
-		return nil
-	}
-	reports := make([]*trace.BlameReport, 0, len(trs))
-	for _, tr := range trs {
-		reports = append(reports, tr.Blame(opts))
-	}
-	return trace.MergeBlameReports(reports...)
-}
-
 // hashBytes is the routing hash. xxhash32 with a fixed seed: fast, stable
 // across processes, and unrelated to the devices' internal hash-list seeds
 // so routing cannot correlate with in-device placement.
 func hashBytes(b []byte) uint32 { return xxhash.Sum32Seed(b, routingSeed) }
 
 // HashKey exposes the routing hash to the fleet layer, which routes against
-// the same rings this package builds.
+// the rings this package builds.
 func HashKey(b []byte) uint32 { return hashBytes(b) }
 
 // routingSeed separates the routing hash stream from every other xxhash use
 // in the simulator (device hash lists seed differently per device).
 const routingSeed = 0x616e796b // "anyk"
-
-// ErrNotFound re-exports the per-operation miss error for callers that only
-// import this package.
-var ErrNotFound = kv.ErrNotFound

@@ -1,4 +1,8 @@
-package cluster
+package cluster_test
+
+// The single-copy batch and routing contract, checked through the public
+// facade at Replication.Factor 0 — the fleet running one copy per key —
+// plus the fleet's own construction checks.
 
 import (
 	"bytes"
@@ -6,35 +10,30 @@ import (
 	"fmt"
 	"testing"
 
+	"anykey"
+	"anykey/internal/cluster"
+	"anykey/internal/cluster/fleet"
 	"anykey/internal/core"
 	"anykey/internal/device"
-	"anykey/internal/kv"
 	"anykey/internal/nand"
 	"anykey/internal/sim"
 	"anykey/internal/trace"
 )
 
-// freshShards builds n small independent AnyKey+ devices.
-func freshShards(t *testing.T, n int) []device.KVSSD {
+// freshCluster opens a single-copy cluster of small independent AnyKey+
+// shards.
+func freshCluster(t *testing.T, shards, qd int, router anykey.RouterPolicy) *anykey.Cluster {
 	t.Helper()
-	devs := make([]device.KVSSD, 0, n)
-	for i := 0; i < n; i++ {
-		geo := nand.Geometry{Channels: 4, ChipsPerChannel: 4, BlocksPerChip: 4, PagesPerBlock: 64, PageSize: 8192}
-		d, err := core.New(core.Config{Geometry: geo, Plus: true, Seed: int64(1 + i)})
-		if err != nil {
-			t.Fatal(err)
-		}
-		devs = append(devs, d)
-	}
-	return devs
-}
-
-func freshCluster(t *testing.T, shards int, cfg Config) *Cluster {
-	t.Helper()
-	c, err := New(freshShards(t, shards), cfg)
+	c, err := anykey.OpenCluster(anykey.ClusterOptions{
+		Shards:     shards,
+		QueueDepth: qd,
+		Router:     router,
+		Device:     anykey.Options{CapacityMB: 16, Channels: 4, ChipsPerChannel: 4},
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(func() { c.Close() })
 	return c
 }
 
@@ -55,8 +54,11 @@ func testValues(n int) [][]byte {
 }
 
 func TestRoutingDeterministicAndTotal(t *testing.T) {
-	for _, policy := range []Policy{RouteConsistent, RouteModulo} {
-		c := freshCluster(t, 4, Config{Policy: policy})
+	for _, policy := range []anykey.RouterPolicy{anykey.RouteConsistent, anykey.RouteModulo} {
+		c := freshCluster(t, 4, 1, policy)
+		if c.Router() != policy {
+			t.Fatalf("router %v, want %v", c.Router(), policy)
+		}
 		keys := testKeys(2000)
 		counts := make([]int, c.Shards())
 		for _, k := range keys {
@@ -79,21 +81,35 @@ func TestRoutingDeterministicAndTotal(t *testing.T) {
 				t.Errorf("%v: shard %d received %d/%d keys", policy, s, n, len(keys))
 			}
 		}
+		// A batch lands every key on the shard ShardFor names.
+		br, err := c.MultiPut(keys[:256], testValues(256))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, s := range br.Shards {
+			if s != c.ShardFor(keys[i]) {
+				t.Fatalf("%v: key %d executed on shard %d, routed to %d", policy, i, s, c.ShardFor(keys[i]))
+			}
+		}
 	}
 }
 
 func TestRingStableAcrossInstances(t *testing.T) {
-	a := freshCluster(t, 4, Config{})
-	b := freshCluster(t, 4, Config{})
+	a := freshCluster(t, 4, 1, anykey.RouteConsistent)
+	b := freshCluster(t, 4, 1, anykey.RouteConsistent)
+	ring := cluster.BuildRing([]int32{0, 1, 2, 3}, 64)
 	for _, k := range testKeys(500) {
 		if a.ShardFor(k) != b.ShardFor(k) {
 			t.Fatalf("two identically configured clusters route %q differently", k)
+		}
+		if a.ShardFor(k) != int(ring.Owner(k)) {
+			t.Fatalf("cluster routes %q off the ring owner", k)
 		}
 	}
 }
 
 func TestMultiPutGetRoundTrip(t *testing.T) {
-	c := freshCluster(t, 4, Config{QueueDepth: 8})
+	c := freshCluster(t, 4, 8, anykey.RouteConsistent)
 	keys, vals := testKeys(256), testValues(256)
 
 	pr, err := c.MultiPut(keys, vals)
@@ -135,7 +151,7 @@ func TestMultiPutGetRoundTrip(t *testing.T) {
 }
 
 func TestMultiGetValuesSurviveLaterOps(t *testing.T) {
-	c := freshCluster(t, 2, Config{})
+	c := freshCluster(t, 2, 1, anykey.RouteConsistent)
 	keys, vals := testKeys(64), testValues(64)
 	if _, err := c.MultiPut(keys, vals); err != nil {
 		t.Fatal(err)
@@ -157,13 +173,13 @@ func TestMultiGetValuesSurviveLaterOps(t *testing.T) {
 }
 
 func TestMultiGetMissReportsNotFound(t *testing.T) {
-	c := freshCluster(t, 4, Config{})
+	c := freshCluster(t, 4, 1, anykey.RouteConsistent)
 	keys, vals := testKeys(8), testValues(8)
 	if _, err := c.MultiPut(keys, vals); err != nil {
 		t.Fatal(err)
 	}
 	probe := append([][]byte{}, keys[:4]...)
-	probe = append(probe, []byte("absent-1"), []byte("absent-2"))
+	probe = append(probe, []byte("absent-1"), []byte("absent-2"), nil)
 	gr, err := c.MultiGet(probe)
 	if err != nil {
 		t.Fatal(err)
@@ -174,33 +190,34 @@ func TestMultiGetMissReportsNotFound(t *testing.T) {
 		}
 	}
 	for i := 4; i < 6; i++ {
-		if !errors.Is(gr.Errs[i], kv.ErrNotFound) {
+		if !errors.Is(gr.Errs[i], anykey.ErrNotFound) {
 			t.Fatalf("absent key %d: got %v, want ErrNotFound", i, gr.Errs[i])
 		}
-		if !errors.Is(gr.Errs[i], ErrNotFound) {
-			t.Fatalf("absent key %d: cluster.ErrNotFound mismatch", i)
-		}
+	}
+	// A read the device rejects reports the device's error, not a miss.
+	if !errors.Is(gr.Errs[6], anykey.ErrEmptyKey) {
+		t.Fatalf("empty key: got %v, want ErrEmptyKey", gr.Errs[6])
 	}
 }
 
 func TestBatchDuplicateKeysLastWriteWins(t *testing.T) {
-	c := freshCluster(t, 4, Config{})
+	c := freshCluster(t, 4, 1, anykey.RouteConsistent)
 	k := []byte("dup-key")
 	_, err := c.MultiPut([][]byte{k, k}, [][]byte{[]byte("first"), []byte("second")})
 	if err != nil {
 		t.Fatal(err)
 	}
-	comp, err := c.Get(k)
+	v, _, err := c.Get(k)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if string(comp.Value) != "second" {
-		t.Fatalf("duplicate key resolved to %q, want later write", comp.Value)
+	if string(v) != "second" {
+		t.Fatalf("duplicate key resolved to %q, want later write", v)
 	}
 }
 
 func TestMultiDelete(t *testing.T) {
-	c := freshCluster(t, 4, Config{})
+	c := freshCluster(t, 4, 1, anykey.RouteConsistent)
 	keys, vals := testKeys(32), testValues(32)
 	if _, err := c.MultiPut(keys, vals); err != nil {
 		t.Fatal(err)
@@ -217,7 +234,7 @@ func TestMultiDelete(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := range keys {
-		if i < 16 && !errors.Is(gr.Errs[i], ErrNotFound) {
+		if i < 16 && !errors.Is(gr.Errs[i], anykey.ErrNotFound) {
 			t.Fatalf("deleted key %d still readable (%v)", i, gr.Errs[i])
 		}
 		if i >= 16 && gr.Errs[i] != nil {
@@ -227,54 +244,14 @@ func TestMultiDelete(t *testing.T) {
 }
 
 func TestMultiPutLengthMismatch(t *testing.T) {
-	c := freshCluster(t, 2, Config{})
-	if _, err := c.MultiPut(testKeys(3), testValues(2)); err == nil {
-		t.Fatal("length mismatch accepted")
-	}
-}
-
-// runWorkload drives a deterministic mixed batch workload and returns a
-// transcript of every completion instant and the final merged stats.
-func runWorkload(t *testing.T, workers int) (string, Stats) {
-	t.Helper()
-	c := freshCluster(t, 4, Config{QueueDepth: 16, Workers: workers})
-	keys, vals := testKeys(512), testValues(512)
-	var sb bytes.Buffer
-	for round := 0; round < 4; round++ {
-		pr, err := c.MultiPut(keys, vals)
-		if err != nil {
-			t.Fatal(err)
-		}
-		gr, err := c.MultiGet(keys)
-		if err != nil {
-			t.Fatal(err)
-		}
-		fmt.Fprintf(&sb, "round %d: put [%d,%d] get [%d,%d]\n",
-			round, pr.Start, pr.Done, gr.Start, gr.Done)
-		for i, comp := range gr.Completions {
-			fmt.Fprintf(&sb, "%d:%d:%d ", i, comp.Done, gr.Shards[i])
-		}
-		sb.WriteByte('\n')
-	}
-	return sb.String(), c.CollectStats()
-}
-
-func TestWorkersBitIdentical(t *testing.T) {
-	serial, st1 := runWorkload(t, 1)
-	parallel, st4 := runWorkload(t, 4)
-	if serial != parallel {
-		t.Fatal("Workers=4 produced a different completion transcript than Workers=1")
-	}
-	if st1.Ops != st4.Ops || st1.Now != st4.Now || st1.LiveKeys != st4.LiveKeys {
-		t.Fatalf("stats diverge: %+v vs %+v", st1, st4)
-	}
-	if st1.Flash != st4.Flash {
-		t.Fatal("flash counters diverge between Workers settings")
+	c := freshCluster(t, 2, 1, anykey.RouteConsistent)
+	if _, err := c.MultiPut(testKeys(3), testValues(2)); !errors.Is(err, anykey.ErrInvalidOptions) {
+		t.Fatalf("length mismatch: got %v, want ErrInvalidOptions", err)
 	}
 }
 
 func TestStatsRollup(t *testing.T) {
-	c := freshCluster(t, 4, Config{QueueDepth: 4})
+	c := freshCluster(t, 4, 4, anykey.RouteConsistent)
 	keys, vals := testKeys(256), testValues(256)
 	if _, err := c.MultiPut(keys, vals); err != nil {
 		t.Fatal(err)
@@ -282,11 +259,11 @@ func TestStatsRollup(t *testing.T) {
 	if _, err := c.MultiGet(keys); err != nil {
 		t.Fatal(err)
 	}
-	st := c.CollectStats()
+	st := c.Stats()
 	if st.Shards != 4 || len(st.PerShard) != 4 {
 		t.Fatalf("shard count wrong: %+v", st)
 	}
-	if st.Ops != c.Ops() || st.Ops != 512 {
+	if st.Ops != 512 {
 		t.Fatalf("ops rollup %d, want 512", st.Ops)
 	}
 	if st.LiveKeys != 256 {
@@ -316,7 +293,7 @@ func TestStatsRollup(t *testing.T) {
 }
 
 func TestClockDomainsIndependent(t *testing.T) {
-	c := freshCluster(t, 2, Config{})
+	c := freshCluster(t, 2, 1, anykey.RouteConsistent)
 	// Route every op to one shard: the other shard's clock must not move.
 	k := []byte("pinned")
 	target := c.ShardFor(k)
@@ -326,10 +303,10 @@ func TestClockDomainsIndependent(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if got := c.Engine(other).Now(); got != 0 {
+	if got := c.ShardNow(other); got != 0 {
 		t.Fatalf("idle shard's clock advanced to %v", got)
 	}
-	if c.Now() != c.Engine(target).Now() {
+	if c.Now() != c.ShardNow(target) {
 		t.Fatal("cluster clock is not the max over shard clocks")
 	}
 	if c.Now() == 0 {
@@ -338,7 +315,7 @@ func TestClockDomainsIndependent(t *testing.T) {
 }
 
 func TestSyncBarrier(t *testing.T) {
-	c := freshCluster(t, 4, Config{QueueDepth: 8})
+	c := freshCluster(t, 4, 8, anykey.RouteConsistent)
 	keys, vals := testKeys(128), testValues(128)
 	if _, err := c.MultiPut(keys, vals); err != nil {
 		t.Fatal(err)
@@ -347,8 +324,12 @@ func TestSyncBarrier(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if done < c.Barrier() {
-		t.Fatal("sync completed before the cluster barrier")
+	barrier, err := c.Barrier()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if done < barrier || barrier != c.Now() {
+		t.Fatalf("sync done %v, barrier %v, merged clock %v", done, barrier, c.Now())
 	}
 	gr, err := c.MultiGet(keys)
 	if err != nil {
@@ -360,17 +341,41 @@ func TestSyncBarrier(t *testing.T) {
 }
 
 func TestConfigValidation(t *testing.T) {
-	if _, err := New(nil, Config{}); err == nil {
+	newDev := func(int) (device.KVSSD, *trace.Tracer, error) { return nil, nil, errors.New("fixed fleet") }
+	if _, err := fleet.New(nil, fleet.Config{NewDevice: newDev}); err == nil {
 		t.Fatal("empty device list accepted")
 	}
-	devs := freshShards(t, 2)
-	if _, err := New(devs, Config{Policy: Policy(99)}); err == nil {
-		t.Fatal("unknown policy accepted")
+	var devs []device.KVSSD
+	for i := 0; i < 2; i++ {
+		geo := nand.Geometry{Channels: 4, ChipsPerChannel: 4, BlocksPerChip: 4, PagesPerBlock: 64, PageSize: 8192}
+		d, err := core.New(core.Config{Geometry: geo, Plus: true, Seed: int64(1 + i)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		devs = append(devs, d)
 	}
-	if _, err := New(devs, Config{Tracers: []*trace.Tracer{nil}}); err == nil {
-		t.Fatal("tracer/shard count mismatch accepted")
+	bad := map[string]fleet.Config{
+		"unknown policy":        {Policy: cluster.Policy(99), NewDevice: newDev},
+		"tracer count mismatch": {Tracers: []*trace.Tracer{nil}, NewDevice: newDev},
+		"modulo with replicas":  {Policy: cluster.RouteModulo, Repl: fleet.Replication{Factor: 2}, NewDevice: newDev},
+		"no device factory":     {},
 	}
-	if Policy(99).String() == RouteModulo.String() {
+	for name, cfg := range bad {
+		if _, err := fleet.New(devs, cfg); err == nil {
+			t.Errorf("%s accepted", name)
+		}
+	}
+	f, err := fleet.New(devs, fleet.Config{Policy: cluster.RouteModulo, NewDevice: newDev})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.AddShard(); err == nil {
+		t.Fatal("AddShard accepted under modulo routing")
+	}
+	if _, err := f.RemoveShard(0); err == nil {
+		t.Fatal("RemoveShard accepted under modulo routing")
+	}
+	if cluster.Policy(99).String() == cluster.RouteModulo.String() {
 		t.Fatal("policy names collide")
 	}
 }

@@ -1,9 +1,15 @@
-// Package fleet is the elastic, replicated layer over the simulated KV-SSD
-// shards: the same consistent-hash ring internal/cluster routes with, but
-// with the ring's successor walk yielding R distinct owners per key, live
-// topology change (add/remove a member with streamed key migration and
-// double-reads during handoff), and device death with rebuild from the
-// surviving replicas.
+// Package fleet is the host-side scale-out layer over the simulated KV-SSD
+// shards: one keyspace routed across N member devices by the consistent-hash
+// ring internal/cluster builds, with the ring's successor walk yielding R
+// distinct owners per key, live topology change (add/remove a member with
+// streamed key migration and double-reads during handoff), and device death
+// with rebuild from the surviving replicas.
+//
+// The layer reproduces the standard deployment shape for KV-SSD fleets
+// (host-side sharding, as surveyed by Doekemeijer & Trivedi and exercised by
+// partitioned stores like F2). At R = 1 it is a plain sharded cluster: every
+// key has one owner, and a fixed fleet may route by hash mod N
+// (cluster.RouteModulo) instead of the ring.
 //
 // # Replication
 //
@@ -21,11 +27,13 @@
 //
 // # Clock domains
 //
-// Every member keeps its own engine and virtual clock domain, exactly as
-// cluster.Cluster's shards do. A replicated operation touches R domains;
-// its instants are merged (a write acks at the WriteQuorum-th earliest
-// replica completion, merged numerically) and never propagated, so a fleet
-// driven single-threaded is bit-for-bit deterministic.
+// Every member keeps its own engine and virtual clock domain, starting at
+// the simulation epoch and advancing only when the member carries requests.
+// A replicated operation touches R domains; its instants are merged (a
+// write acks at the WriteQuorum-th earliest replica completion, merged
+// numerically) and never propagated, so a fleet driven single-threaded is
+// bit-for-bit deterministic. Batches complete at the maximum of their
+// replicas' completion times, and Now is the maximum over member clocks.
 //
 // # Concurrency
 //
@@ -145,8 +153,9 @@ func (s memberState) String() string {
 }
 
 // member is one fleet device with its private engine and clock domain, plus
-// its lifecycle state. mu guards the engine and device exactly as
-// cluster.shard's does.
+// its lifecycle state. mu guards the engine, the device beneath it and the
+// ops tally: operations hold it while they run, and stats collection holds
+// it while it snapshots, so an observer never reads a device mid-operation.
 type member struct {
 	mu    sync.Mutex
 	id    int32
@@ -169,6 +178,10 @@ type Config struct {
 	QueueDepth int
 	// VirtualNodes is the ring points per member (default 64).
 	VirtualNodes int
+	// Policy is the routing policy (default cluster.RouteConsistent).
+	// cluster.RouteModulo routes a key to member hash mod N; it needs
+	// Factor 1 and a fixed membership, so AddShard and RemoveShard reject it.
+	Policy cluster.Policy
 	// Repl is the replication protocol (Factor default 1, WriteQuorum
 	// default Factor).
 	Repl Replication
@@ -187,6 +200,7 @@ type Fleet struct {
 	members []*member // by member ID; IDs are never reused
 	ring    cluster.Ring
 	ringIDs []int32 // committed ring membership, ascending
+	policy  cluster.Policy
 	qd      int
 	vnodes  int
 	repl    Replication
@@ -238,12 +252,17 @@ func New(devs []device.KVSSD, cfg Config) (*Fleet, error) {
 		return nil, fmt.Errorf("fleet: replication factor %d with %d members", cfg.Repl.Factor, len(devs))
 	case cfg.Repl.WriteQuorum < 1 || cfg.Repl.WriteQuorum > cfg.Repl.Factor:
 		return nil, fmt.Errorf("fleet: write quorum %d with factor %d", cfg.Repl.WriteQuorum, cfg.Repl.Factor)
+	case cfg.Policy != cluster.RouteConsistent && cfg.Policy != cluster.RouteModulo:
+		return nil, fmt.Errorf("fleet: unknown routing policy %v", cfg.Policy)
+	case cfg.Policy == cluster.RouteModulo && cfg.Repl.Factor > 1:
+		return nil, fmt.Errorf("fleet: %v routing with replication factor %d (replica sets are ring walks)", cfg.Policy, cfg.Repl.Factor)
 	case cfg.NewDevice == nil:
 		return nil, errors.New("fleet: Config.NewDevice is required")
 	case cfg.Tracers != nil && len(cfg.Tracers) != len(devs):
 		return nil, fmt.Errorf("fleet: %d tracers for %d members", len(cfg.Tracers), len(devs))
 	}
 	f := &Fleet{
+		policy: cfg.Policy,
 		qd:     cfg.QueueDepth,
 		vnodes: cfg.VirtualNodes,
 		repl:   cfg.Repl,
@@ -267,9 +286,6 @@ func New(devs []device.KVSSD, cfg Config) (*Fleet, error) {
 	f.ring = cluster.BuildRing(f.ringIDs, f.vnodes)
 	return f, nil
 }
-
-// Replication returns the protocol in force.
-func (f *Fleet) Replication() Replication { return f.repl }
 
 // Members returns the member IDs ever created (including dead and retired
 // members — IDs are stable forever).
@@ -321,17 +337,37 @@ func (f *Fleet) memberByID(id int32) (*member, error) {
 	return f.members[id], nil
 }
 
+// member returns member id. The member table only grows (AddShard appends
+// under f.mu), so the lookup takes f.mu but the member may be used after.
+func (f *Fleet) member(id int32) *member {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	return f.members[id]
+}
+
+// routeLocked appends hash h's committed owners to dst: the ring's
+// successor walk, or under RouteModulo the single member h mod N. Callers
+// hold f.mu.
+func (f *Fleet) routeLocked(dst []int32, h uint32) []int32 {
+	if f.policy == cluster.RouteModulo {
+		return append(dst, f.ringIDs[h%uint32(len(f.ringIDs))])
+	}
+	return f.ring.OwnersHash(dst, h, f.repl.Factor)
+}
+
 // owners computes the key's owner walk under the committed ring and, when a
 // migration is streaming, appends the old ring's owners not already present
 // — the union a write must cover and the fallback order a double-read
-// consults (new owners first, then the old). Callers return the slice via
-// putOwners.
-func (f *Fleet) owners(key []byte) []int32 {
+// consults (new owners first, then the old). It also returns the member
+// table read under the same lock, so callers index it without racing
+// AddShard's append. The walk is pooled scratch: callers read it through
+// the returned pointer and hand the pointer back to f.ownScratch.
+func (f *Fleet) owners(key []byte) (*[]int32, []*member) {
 	h := cluster.HashKey(key)
 	sp := f.ownScratch.Get().(*[]int32)
 	dst := (*sp)[:0]
 	f.mu.Lock()
-	dst = f.ring.OwnersHash(dst, h, f.repl.Factor)
+	dst = f.routeLocked(dst, h)
 	if f.mig != nil {
 		n := len(dst)
 		tmp := f.mig.oldRing.OwnersHash(dst, h, f.repl.Factor)
@@ -343,14 +379,10 @@ func (f *Fleet) owners(key []byte) []int32 {
 			}
 		}
 	}
+	members := f.members
 	f.mu.Unlock()
 	*sp = dst
-	return dst
-}
-
-func (f *Fleet) putOwners(dst []int32) {
-	sp := &dst
-	f.ownScratch.Put(sp)
+	return sp, members
 }
 
 func containsID(ids []int32, m int32) bool {
@@ -362,12 +394,16 @@ func containsID(ids []int32, m int32) bool {
 	return false
 }
 
-// PrimaryFor returns the key's first committed-ring owner — what a
-// non-replicated cluster would call its shard.
+// PrimaryFor returns the key's first committed owner — its only owner at
+// Factor 1, what a single-copy cluster calls the key's shard.
 func (f *Fleet) PrimaryFor(key []byte) int {
+	h := cluster.HashKey(key)
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	return int(f.ring.OwnerHash(cluster.HashKey(key)))
+	if f.policy == cluster.RouteModulo {
+		return int(f.ringIDs[h%uint32(len(f.ringIDs))])
+	}
+	return int(f.ring.OwnerHash(h))
 }
 
 // ReplicaAttempt is one replica's slice of a replicated operation.
@@ -397,9 +433,45 @@ type OpResult struct {
 	// scan's results.
 	Value []byte
 	Pairs []kv.Pair
-	// Err is the operation verdict: nil, ErrQuorumNotMet, ErrShardDown, or
-	// kv.ErrNotFound.
+	// Err is the operation verdict: nil, ErrQuorumNotMet (wrapping the first
+	// replica's error when one failed), ErrShardDown, kv.ErrNotFound, or the
+	// device error that failed every read attempt.
 	Err error
+}
+
+// Primary returns the first member of the owner walk: the key's shard in a
+// single-copy fleet.
+func (r *OpResult) Primary() int { return r.Owners[0] }
+
+// Completion picks one representative host completion: a read's serving
+// replica (carrying the copied value), a write's quorum-defining replica
+// (the one whose Done is the acknowledgment instant), or — on failure — the
+// latest attempt, so callers still see the op's span. At Factor 1 it is the
+// single replica's completion.
+func (r *OpResult) Completion() host.Completion {
+	if r.Served >= 0 {
+		for _, ra := range r.Replicas {
+			if ra.Member == r.Served {
+				comp := ra.Comp
+				comp.Value = r.Value
+				return comp
+			}
+		}
+	}
+	if r.Acked {
+		for _, ra := range r.Replicas {
+			if ra.Err == nil && ra.Comp.Done == r.AckDone {
+				return ra.Comp
+			}
+		}
+	}
+	var best host.Completion
+	for _, ra := range r.Replicas {
+		if ra.Comp.Done >= best.Done {
+			best = ra.Comp
+		}
+	}
+	return best
 }
 
 // ArrivalFunc maps a member ID to the arrival instant in that member's
@@ -411,12 +483,15 @@ type ArrivalFunc func(member int) sim.Time
 // owner executes it in walk order, and the op acks iff at least WriteQuorum
 // fully-alive owners succeeded.
 func (f *Fleet) write(arrival ArrivalFunc, key, value []byte, del bool) OpResult {
-	owners := f.owners(key)
-	defer f.putOwners(owners)
-	res := OpResult{Served: -1, Owners: append([]int(nil), toInts(owners)...)}
-	var ackTimes []sim.Time
+	sp, members := f.owners(key)
+	defer f.ownScratch.Put(sp)
+	owners := *sp
+	res := OpResult{Served: -1, Owners: toInts(owners), Replicas: make([]ReplicaAttempt, 0, len(owners))}
+	var ackBuf [4]sim.Time
+	ackTimes := ackBuf[:0]
+	var cause error // the first replica error, kept for the quorum verdict
 	for _, id := range owners {
-		m := f.members[id]
+		m := members[id]
 		m.mu.Lock()
 		st := m.state
 		if st == stateDead || st == stateRetired {
@@ -441,6 +516,9 @@ func (f *Fleet) write(arrival ArrivalFunc, key, value []byte, del bool) OpResult
 		if err == nil && st == stateAlive {
 			ackTimes = append(ackTimes, comp.Done)
 		}
+		if err != nil && cause == nil {
+			cause = err
+		}
 	}
 	if len(res.Replicas) == 0 {
 		res.Err = ErrShardDown
@@ -448,6 +526,9 @@ func (f *Fleet) write(arrival ArrivalFunc, key, value []byte, del bool) OpResult
 	}
 	if len(ackTimes) < f.repl.WriteQuorum {
 		res.Err = ErrQuorumNotMet
+		if cause != nil {
+			res.Err = fmt.Errorf("%w: %w", ErrQuorumNotMet, cause)
+		}
 		f.mu.Lock()
 		f.quorumFailures++
 		f.mu.Unlock()
@@ -472,14 +553,16 @@ func (f *Fleet) write(arrival ArrivalFunc, key, value []byte, del bool) OpResult
 // every alive owner is read and divergent replicas are re-written with the
 // serving value.
 func (f *Fleet) read(arrival ArrivalFunc, key []byte) OpResult {
-	owners := f.owners(key)
-	defer f.putOwners(owners)
-	res := OpResult{Served: -1, Owners: append([]int(nil), toInts(owners)...)}
+	sp, members := f.owners(key)
+	defer f.ownScratch.Put(sp)
+	owners := *sp
+	res := OpResult{Served: -1, Owners: toInts(owners), Replicas: make([]ReplicaAttempt, 0, len(owners))}
 	repair := f.repl.ReadMode == ReadRepair
 	var repairTargets []int32
+	var readErr error // the first failure other than a miss
 	tried := 0
 	for walk, id := range owners {
-		m := f.members[id]
+		m := members[id]
 		m.mu.Lock()
 		st := m.state
 		if st != stateAlive {
@@ -506,6 +589,9 @@ func (f *Fleet) read(arrival ArrivalFunc, key []byte) OpResult {
 		m.mu.Unlock()
 		tried++
 		res.Replicas = append(res.Replicas, ReplicaAttempt{Member: int(id), Comp: comp, Err: err})
+		if err != nil && readErr == nil && !errors.Is(err, kv.ErrNotFound) {
+			readErr = err
+		}
 		switch {
 		case res.Served < 0 && err == nil:
 			res.Served = int(id)
@@ -530,11 +616,14 @@ func (f *Fleet) read(arrival ArrivalFunc, key []byte) OpResult {
 	}
 	if res.Served < 0 {
 		res.Err = kv.ErrNotFound
+		if readErr != nil {
+			res.Err = readErr
+		}
 		return res
 	}
 	repaired := 0
 	for _, id := range repairTargets {
-		m := f.members[id]
+		m := members[id]
 		m.mu.Lock()
 		if m.state == stateAlive {
 			if _, err := m.eng.Put(key, res.Value); err == nil {
@@ -592,6 +681,52 @@ func (f *Fleet) Apply(ops []cluster.BatchOp) error {
 		}
 	}
 	return nil
+}
+
+// Batch runs n single-key operations one at a time, in input order, and
+// reassembles them into the cluster batch shape: each op's representative
+// completion, primary member and verdict. Start is the latest clock, read
+// before the batch, among the members the batch touched; Done the latest
+// replica completion, never before Start — the semantics of a
+// scatter-gather submission that acknowledges when its last member does.
+// Members are independent clock domains, so running the ops in input order
+// gives the same completions as grouping them by member.
+func (f *Fleet) Batch(n int, op func(i int) OpResult) *cluster.BatchResult {
+	clocks := f.memberClocks()
+	out := &cluster.BatchResult{
+		Completions: make([]host.Completion, n),
+		Shards:      make([]int, n),
+		Errs:        make([]error, n),
+	}
+	var done sim.Time
+	for i := 0; i < n; i++ {
+		res := op(i)
+		out.Completions[i] = res.Completion()
+		out.Shards[i] = res.Primary()
+		out.Errs[i] = res.Err
+		for _, ra := range res.Replicas {
+			if ra.Member < len(clocks) && clocks[ra.Member] > out.Start {
+				out.Start = clocks[ra.Member]
+			}
+			done = max(done, ra.Comp.Done)
+		}
+	}
+	out.Done = max(out.Start, done)
+	return out
+}
+
+// memberClocks snapshots every member's clock, indexed by member ID.
+func (f *Fleet) memberClocks() []sim.Time {
+	f.mu.Lock()
+	members := f.members
+	f.mu.Unlock()
+	out := make([]sim.Time, len(members))
+	for i, m := range members {
+		m.mu.Lock()
+		out[i] = m.eng.Now()
+		m.mu.Unlock()
+	}
+	return out
 }
 
 // Delete removes one key on every alive owner (closed loop).
@@ -680,20 +815,45 @@ func (f *Fleet) Barrier() sim.Time {
 	return mx
 }
 
-// SyncShards flushes the fleet for the transaction layer's durability
-// barriers. Replica sets overlap arbitrarily under the ring walk, so a
-// targeted per-shard flush would have to chase owner sets through live
-// migrations; the fleet keeps the simpler invariant — sync everything —
-// which is strictly stronger than what the barrier needs.
-func (f *Fleet) SyncShards(shards []int) (sim.Time, error) { return f.Sync() }
+// SyncShards flushes the members the transaction layer's durability
+// barrier names (its shards are PrimaryFor results) and returns the merged
+// completion time. When every key has one owner — Factor 1 with no
+// migration streaming — a shard's keys live only on that member, so only
+// the listed members sync. Otherwise replica sets overlap arbitrarily under
+// the ring walk and would have to be chased through live migrations; the
+// fleet then syncs every member, which is strictly stronger than the
+// barrier needs.
+func (f *Fleet) SyncShards(shards []int) (sim.Time, error) {
+	f.mu.Lock()
+	single := f.repl.Factor == 1 && f.mig == nil
+	members := f.members
+	f.mu.Unlock()
+	listed := make([]*member, 0, len(shards))
+	for _, s := range shards {
+		if s < 0 || s >= len(members) {
+			return 0, fmt.Errorf("fleet: SyncShards: member %d of %d", s, len(members))
+		}
+		listed = append(listed, members[s])
+	}
+	if !single {
+		return f.syncMembers(members)
+	}
+	return f.syncMembers(listed)
+}
 
 // Sync flushes every live member and returns the merged completion time.
 func (f *Fleet) Sync() (sim.Time, error) {
-	var done sim.Time
-	var firstErr error
 	f.mu.Lock()
 	members := f.members
 	f.mu.Unlock()
+	return f.syncMembers(members)
+}
+
+// syncMembers flushes the given members, skipping dead and retired ones,
+// and returns the merged completion time and the first error.
+func (f *Fleet) syncMembers(members []*member) (sim.Time, error) {
+	var done sim.Time
+	var firstErr error
 	for _, m := range members {
 		m.mu.Lock()
 		if m.state == stateDead || m.state == stateRetired {
@@ -740,10 +900,10 @@ func (f *Fleet) ReleaseMemory() {
 }
 
 // Engine returns member id's host engine (tests and advanced drivers).
-func (f *Fleet) Engine(id int) *host.Engine { return f.members[id].eng }
+func (f *Fleet) Engine(id int) *host.Engine { return f.member(int32(id)).eng }
 
 // Device returns member id's underlying device.
-func (f *Fleet) Device(id int) device.KVSSD { return f.members[id].dev }
+func (f *Fleet) Device(id int) device.KVSSD { return f.member(int32(id)).dev }
 
 // Tracer returns member id's tracer (nil when untraced or unknown).
 func (f *Fleet) Tracer(id int) *trace.Tracer {

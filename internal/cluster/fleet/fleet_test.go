@@ -489,3 +489,80 @@ func TestKillReleasesDeadMemberMemory(t *testing.T) {
 		t.Fatalf("fleet stats carry no store footprint: %+v", st.Store)
 	}
 }
+
+// TestAddShardConcurrentWithPuts grows the fleet while another goroutine
+// keeps writing. Under -race it pins that the operation paths read the
+// member table under the fleet lock AddShard appends under; every write
+// must still ack and read back afterwards.
+func TestAddShardConcurrentWithPuts(t *testing.T) {
+	f := freshFleet(t, 3, Replication{Factor: 2, WriteQuorum: 2})
+	started := make(chan struct{})
+	stop := make(chan struct{})
+	written := make(chan int)
+	go func() {
+		n := 0
+		defer func() { written <- n }()
+		for ; ; n++ {
+			if n == 1 {
+				close(started)
+			}
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			if res := f.Put(fkey(n), fval(n)); !res.Acked {
+				t.Errorf("put %d during AddShard: %v", n, res.Err)
+				return
+			}
+		}
+	}()
+	<-started
+	mig, err := f.AddShard()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := mig.Run(); err != nil {
+		t.Fatal(err)
+	}
+	close(stop)
+	n := <-written
+	for i := 0; i < n; i++ {
+		res := f.Get(fkey(i))
+		if res.Err != nil || !bytes.Equal(res.Value, fval(i)) {
+			t.Fatalf("key %d after AddShard: %q, %v", i, res.Value, res.Err)
+		}
+	}
+}
+
+// TestSyncShardsTargetsSingleOwner checks the transaction layer's
+// durability barrier: with one owner per key only the listed members sync,
+// while a replicated fleet syncs every member.
+func TestSyncShardsTargetsSingleOwner(t *testing.T) {
+	for _, factor := range []int{1, 2} {
+		f := freshFleet(t, 3, Replication{Factor: factor})
+		for i := 0; i < 60; i++ {
+			if res := f.Put(fkey(i), fval(i)); res.Err != nil {
+				t.Fatal(res.Err)
+			}
+		}
+		before := f.CollectStats().PerShard
+		if _, err := f.SyncShards([]int{1}); err != nil {
+			t.Fatal(err)
+		}
+		after := f.CollectStats().PerShard
+		for s := range after {
+			synced := after[s].Ops - before[s].Ops
+			want := int64(1)
+			if factor == 1 && s != 1 {
+				want = 0
+			}
+			if synced != want {
+				t.Errorf("factor %d: member %d ran %d syncs, want %d", factor, s, synced, want)
+			}
+		}
+		if _, err := f.SyncShards([]int{3}); err == nil {
+			t.Errorf("factor %d: SyncShards accepted an unknown member", factor)
+		}
+	}
+}

@@ -1,6 +1,7 @@
 package fleet
 
 import (
+	"errors"
 	"fmt"
 
 	"anykey/internal/cluster"
@@ -63,10 +64,17 @@ func (g *Migration) Progress() (drained, total int) {
 	return g.srcIdx, len(g.sources)
 }
 
+// errModuloTopology rejects topology changes under RouteModulo, where a new
+// member count would re-route almost every key.
+var errModuloTopology = errors.New("fleet: topology change under modulo routing")
+
 // AddShard brings a fresh member (built by Config.NewDevice) into the ring
 // and starts streaming the ~1/N key fraction the new topology assigns it.
 // The returned Migration must be stepped to completion (Step, or Run).
 func (f *Fleet) AddShard() (*Migration, error) {
+	if f.policy == cluster.RouteModulo {
+		return nil, errModuloTopology
+	}
 	f.mu.Lock()
 	if f.mig != nil {
 		f.mu.Unlock()
@@ -114,6 +122,9 @@ func (f *Fleet) AddShard() (*Migration, error) {
 // new owners before the member retires at commit. The member keeps serving
 // double-reads (and takes union writes) until then.
 func (f *Fleet) RemoveShard(id int) (*Migration, error) {
+	if f.policy == cluster.RouteModulo {
+		return nil, errModuloTopology
+	}
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	if f.mig != nil {
@@ -191,7 +202,7 @@ func (g *Migration) Step(maxKeys int) (bool, error) {
 		start := g.next
 		f.mu.Unlock()
 
-		m := f.members[src]
+		m := f.member(src)
 		m.mu.Lock()
 		skip := m.state != stateAlive
 		var pairs []pairCopy
@@ -289,6 +300,7 @@ func (g *Migration) migrateKey(src int32, p pairCopy) (bool, error) {
 		}
 	}
 	newOwners := f.ring.OwnersHash(nil, h, f.repl.Factor)
+	members := f.members
 	f.mu.Unlock()
 
 	if coord != src {
@@ -299,7 +311,7 @@ func (g *Migration) migrateKey(src int32, p pairCopy) (bool, error) {
 		if containsID(oldOwners, id) {
 			continue
 		}
-		m := f.members[id]
+		m := members[id]
 		m.mu.Lock()
 		st := m.state
 		var err error

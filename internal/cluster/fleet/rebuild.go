@@ -167,7 +167,7 @@ func (r *Rebuild) Step(maxKeys int) (bool, error) {
 		start := r.next
 		f.mu.Unlock()
 
-		m := f.members[src]
+		m := f.member(src)
 		m.mu.Lock()
 		skip := m.state != stateAlive
 		var pairs []pairCopy
@@ -233,14 +233,15 @@ func (r *Rebuild) rebuildKey(src int32, p pairCopy) (bool, error) {
 	h := cluster.HashKey(p.key)
 
 	f.mu.Lock()
-	owners := f.ring.OwnersHash(nil, h, f.repl.Factor)
+	owners := f.routeLocked(nil, h)
+	members := f.members
 	f.mu.Unlock()
 	if !containsID(owners, r.subject) {
 		return false, nil
 	}
 	coord := int32(-1)
 	for _, id := range owners {
-		mm := f.members[id]
+		mm := members[id]
 		mm.mu.Lock()
 		alive := mm.state == stateAlive
 		mm.mu.Unlock()
@@ -253,7 +254,7 @@ func (r *Rebuild) rebuildKey(src int32, p pairCopy) (bool, error) {
 		return false, nil
 	}
 
-	m := f.members[r.subject]
+	m := members[r.subject]
 	m.mu.Lock()
 	if m.state != stateRebuilding {
 		m.mu.Unlock()

@@ -67,9 +67,9 @@ type Stats struct {
 	Members []MemberStats
 }
 
-// CollectStats snapshots every member under its mutex, exactly as
-// cluster.CollectStats does, so it is safe concurrently with in-flight
-// operations.
+// CollectStats snapshots every member under its mutex, so it is safe
+// concurrently with in-flight operations: a scraper observes each member
+// between operations, never mid-flight.
 func (f *Fleet) CollectStats() Stats {
 	f.mu.Lock()
 	members := f.members

@@ -115,3 +115,13 @@ func TestRingOwnersWalkStability(t *testing.T) {
 		t.Errorf("walks changed for %.1f%% of keys after an unrelated join", frac*100)
 	}
 }
+
+// seqMembers returns the member IDs 0..n-1 — the fixed-fleet layout, where
+// members are just shard indices.
+func seqMembers(n int) []int32 {
+	ids := make([]int32, n)
+	for i := range ids {
+		ids[i] = int32(i)
+	}
+	return ids
+}

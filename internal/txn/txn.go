@@ -3,12 +3,12 @@
 // split-phase execution for contended keys.
 //
 // The package is deliberately engine-agnostic: it drives any Backend — the
-// non-replicated cluster, the replicated fleet, or a test fake — through a
-// small routed-KV interface, and it never owns a clock of its own. All
-// timing comes from the backend's per-shard virtual clocks, and cross-shard
-// instants are merged by max exactly as the cluster layer merges them, so a
-// serial and a Workers-parallel run of the same transaction stream produce
-// bit-identical results.
+// fleet behind anykey.Cluster (single-copy or replicated), or a test fake —
+// through a small routed-KV interface, and it never owns a clock of its
+// own. All timing comes from the backend's per-shard virtual clocks, and
+// cross-shard instants are merged by max exactly as the cluster layer
+// merges them, so the same transaction stream always produces bit-identical
+// results.
 //
 // # Atomic batches (two-phase commit)
 //

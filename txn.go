@@ -5,8 +5,8 @@ package anykey
 // read-modify-write primitives (Incr/Append/CompareAndSwap and the general
 // Txn closure) with validate-at-commit and deterministic bounded retry, and
 // doppel-style phase splitting for contended keys. The protocol lives in
-// internal/txn; this file adapts it to both cluster backends and shapes the
-// public surface.
+// internal/txn; this file adapts it to the fleet behind Cluster and shapes
+// the public surface.
 
 import (
 	"errors"
@@ -34,52 +34,9 @@ type (
 	TxnStats = txn.Stats
 )
 
-// txnBackend adapts either cluster backend to the txn.Backend the
-// coordinator drives. All timing flows through the backend's shard clocks,
-// so transactions inherit the simulator's determinism.
-type clusterTxnBackend struct {
-	c *cluster.Cluster
-}
-
-func (b clusterTxnBackend) Shards() int                { return b.c.Shards() }
-func (b clusterTxnBackend) ShardFor(key []byte) int    { return b.c.ShardFor(key) }
-func (b clusterTxnBackend) Now(s int) Time             { return b.c.ShardNow(s) }
-func (b clusterTxnBackend) Tracer(s int) *trace.Tracer { return b.c.Tracer(s) }
-
-func (b clusterTxnBackend) Get(key []byte) ([]byte, bool, error) {
-	comp, err := b.c.Get(key)
-	if err != nil {
-		if errors.Is(err, kv.ErrNotFound) {
-			return nil, false, nil
-		}
-		return nil, false, err
-	}
-	// Single-key cluster reads return device-owned buffers; the coordinator
-	// holds values across later operations, so copy out.
-	return append([]byte(nil), comp.Value...), true, nil
-}
-
-func (b clusterTxnBackend) Apply(ops []txn.Op) error {
-	res, err := b.c.Apply(toBatchOps(ops))
-	if err != nil {
-		return err
-	}
-	return res.FirstErr()
-}
-
-func (b clusterTxnBackend) SyncShards(shards []int) error {
-	_, err := b.c.SyncShards(shards)
-	return err
-}
-
-func (b clusterTxnBackend) ScanShard(s int, start []byte, n int) ([]kv.Pair, error) {
-	comp, err := b.c.ScanAt(s, b.c.ShardNow(s), start, n)
-	if err != nil {
-		return nil, err
-	}
-	return copyPairs(comp.Pairs), nil
-}
-
+// fleetTxnBackend adapts the fleet behind a Cluster to the txn.Backend the
+// coordinator drives. All timing flows through the members' clocks, so
+// transactions inherit the simulator's determinism.
 type fleetTxnBackend struct {
 	f *fleet.Fleet
 }
@@ -150,7 +107,7 @@ func copyPairs(in []kv.Pair) []kv.Pair {
 // of a key another replica already applied.
 func (c *Cluster) atomicGate() error {
 	r := c.opts.Replication
-	if c.f != nil && r.Factor > 1 && r.ReadMode == ReadOne && r.WriteQuorum < r.Factor {
+	if r.Factor > 1 && r.ReadMode == ReadOne && r.WriteQuorum < r.Factor {
 		return fmt.Errorf("%w: Factor %d with ReadOne and WriteQuorum %d (need WriteQuorum == Factor or ReadRepair)",
 			ErrAtomicUnsupported, r.Factor, r.WriteQuorum)
 	}

@@ -5,11 +5,9 @@ import (
 	"fmt"
 	"testing"
 
-	"anykey/internal/cluster"
 	"anykey/internal/core"
 	"anykey/internal/device"
 	"anykey/internal/fault"
-	"anykey/internal/txn"
 )
 
 // The atomic-batch crash matrix: power-cut one shard's flash array at evenly
@@ -30,7 +28,7 @@ func txnCrashShardOpts(opts ClusterOptions, s int) Options {
 	return o
 }
 
-// openTxnCrashCluster builds a serial 2-shard cluster; plan, when non-nil, is
+// openTxnCrashCluster builds a 2-shard cluster; plan, when non-nil, is
 // installed on shard 0's flash array.
 func openTxnCrashCluster(t *testing.T, opts ClusterOptions, plan *fault.Plan) (*Cluster, []*core.Device) {
 	t.Helper()
@@ -52,17 +50,10 @@ func openTxnCrashCluster(t *testing.T, opts ClusterOptions, plan *fault.Plan) (*
 	if plan != nil {
 		cores[0].Array().SetInjector(fault.New(*plan))
 	}
-	c, err := cluster.New(devs, cluster.Config{
-		QueueDepth:   opts.QueueDepth,
-		Policy:       opts.Router,
-		VirtualNodes: opts.VirtualNodes,
-		Workers:      1,
-	})
+	cl, err := newCluster(devs, nil, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cl := &Cluster{c: c, opts: opts}
-	cl.co = txn.New(clusterTxnBackend{c: c}, opts.Txn)
 	return cl, cores
 }
 
@@ -95,17 +86,10 @@ func reopenTxnCrashCluster(t *testing.T, opts ClusterOptions, cores []*core.Devi
 		}
 		devs = append(devs, reopened)
 	}
-	c, err := cluster.New(devs, cluster.Config{
-		QueueDepth:   opts.QueueDepth,
-		Policy:       opts.Router,
-		VirtualNodes: opts.VirtualNodes,
-		Workers:      1,
-	})
+	cl, err := newCluster(devs, nil, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cl := &Cluster{c: c, opts: opts}
-	cl.co = txn.New(clusterTxnBackend{c: c}, opts.Txn)
 	return cl
 }
 

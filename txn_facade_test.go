@@ -200,56 +200,6 @@ func TestClusterIncrAppendCAS(t *testing.T) {
 	}
 }
 
-// TestAtomicBatchDeterministicAcrossWorkers commits the same atomic batches
-// on a serial and a Workers-parallel cluster and requires identical clocks
-// and transaction stats — the 2PC path must preserve the cluster's
-// bit-exactness contract.
-func TestAtomicBatchDeterministicAcrossWorkers(t *testing.T) {
-	run := func(workers int) (Time, TxnStats, []byte) {
-		opts := smallClusterOpts()
-		opts.Workers = workers
-		c, err := OpenCluster(opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer c.Close()
-		for round := 0; round < 8; round++ {
-			keys := make([][]byte, 6)
-			vals := make([][]byte, 6)
-			for i := range keys {
-				keys[i] = []byte(fmt.Sprintf("k%02d-%d", round, i))
-				vals[i] = bytes.Repeat([]byte{byte('a' + round)}, 40)
-			}
-			if _, err := c.AtomicMultiPut(keys, vals); err != nil {
-				t.Fatalf("round %d: %v", round, err)
-			}
-			if _, _, err := c.Incr([]byte("hot"), 1); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if _, err := c.Sync(); err != nil {
-			t.Fatal(err)
-		}
-		v, _, err := c.Get([]byte("hot"))
-		if err != nil {
-			t.Fatal(err)
-		}
-		return c.Now(), c.TxnStats(), append([]byte(nil), v...)
-	}
-
-	now1, st1, v1 := run(1)
-	now4, st4, v4 := run(4)
-	if now1 != now4 {
-		t.Fatalf("clock diverged: serial %d, workers=4 %d", now1, now4)
-	}
-	if st1 != st4 {
-		t.Fatalf("stats diverged:\nserial %+v\nworkers %+v", st1, st4)
-	}
-	if !bytes.Equal(v1, v4) {
-		t.Fatalf("counter diverged: %q vs %q", v1, v4)
-	}
-}
-
 // TestAtomicBatchSurvivesKillShard commits atomic batches against a
 // replicated fleet, kills a member, recovers, and checks the atomicity
 // oracle: every batch is either fully visible or fully absent.
