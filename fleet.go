@@ -6,7 +6,9 @@ import (
 	"anykey/internal/cluster/fleet"
 )
 
-// Fleet-facing re-exports. These only apply to a Cluster opened with
+// Fleet-facing re-exports. The per-replica open-loop calls (FleetPutAt,
+// FleetGetAt, FleetDeleteAt) work at every factor; the topology and fault
+// calls (AddShard, KillShard, ...) only apply to a Cluster opened with
 // ClusterOptions.Replication.Factor ≥ 1.
 type (
 	// ReplicationOptions selects the replica protocol: Factor (R), the
@@ -31,8 +33,8 @@ type (
 	// MigrationStatus describes the in-flight topology change, if any.
 	MigrationStatus = fleet.MigrationStatus
 	// FleetOpResult is one replicated operation's full outcome, exposed by
-	// the fleet-native entry points for drivers that need per-replica
-	// detail (the harness's durability oracle does).
+	// the per-replica entry points for drivers that need per-replica detail
+	// (the harness's open-loop client times writes by it).
 	FleetOpResult = fleet.OpResult
 	// ArrivalFunc maps a member ID to an arrival instant in that member's
 	// clock domain, for open-loop replicated submission.
@@ -69,7 +71,8 @@ var (
 	ErrMigrationInProgress = fleet.ErrMigrationInProgress
 )
 
-// fleetGate rejects fleet-only calls on closed or non-replicated clusters.
+// fleetGate rejects the topology and fault calls on closed or
+// non-replicated clusters.
 func (c *Cluster) fleetGate() error {
 	if err := c.gate(); err != nil {
 		return err
@@ -147,27 +150,30 @@ func (c *Cluster) FleetStats() (FleetStats, error) {
 	return c.f.CollectStats(), nil
 }
 
-// FleetPutAt is the fleet-native open-loop Put: per-replica arrival
-// instants and the full per-replica outcome. Drivers that only need the
-// single-copy shape should use PutAt.
+// FleetPutAt is the per-replica open-loop Put: each owner receives the
+// request at arrival(member), an instant in that member's own clock domain,
+// and the full per-replica outcome comes back. It works at every factor (a
+// zero Factor is a Factor-1 fleet, one replica per key). A missed quorum is
+// a verdict in FleetOpResult.Err, not a call error.
 func (c *Cluster) FleetPutAt(arrival ArrivalFunc, key, value []byte) (FleetOpResult, error) {
-	if err := c.fleetGate(); err != nil {
+	if err := c.gate(); err != nil {
 		return FleetOpResult{}, err
 	}
 	return c.f.PutAt(arrival, key, value), nil
 }
 
-// FleetGetAt is the fleet-native open-loop Get.
+// FleetGetAt is the per-replica open-loop Get, at every factor. A read with
+// no readable owner is a verdict in FleetOpResult.Err.
 func (c *Cluster) FleetGetAt(arrival ArrivalFunc, key []byte) (FleetOpResult, error) {
-	if err := c.fleetGate(); err != nil {
+	if err := c.gate(); err != nil {
 		return FleetOpResult{}, err
 	}
 	return c.f.GetAt(arrival, key), nil
 }
 
-// FleetDeleteAt is the fleet-native open-loop Delete.
+// FleetDeleteAt is the per-replica open-loop Delete, at every factor.
 func (c *Cluster) FleetDeleteAt(arrival ArrivalFunc, key []byte) (FleetOpResult, error) {
-	if err := c.fleetGate(); err != nil {
+	if err := c.gate(); err != nil {
 		return FleetOpResult{}, err
 	}
 	return c.f.DeleteAt(arrival, key), nil

@@ -52,6 +52,19 @@ func TestFleetOptionsValidation(t *testing.T) {
 	if got := plain.Replication(); got.Factor != 0 {
 		t.Errorf("plain Replication() = %+v", got)
 	}
+	// The per-replica open-loop calls work at Factor 0: one replica, the
+	// key's shard, counting toward a quorum of one.
+	key, now := []byte("user:00042"), func(int) Time { return 0 }
+	put, err := plain.FleetPutAt(now, key, []byte("v"))
+	if err != nil || put.Err != nil || len(put.Replicas) != 1 || !put.Replicas[0].Quorum ||
+		put.Primary() != plain.ShardFor(key) {
+		t.Errorf("FleetPutAt on plain cluster: %+v %v", put, err)
+	}
+	get, err := plain.FleetGetAt(now, key)
+	if err != nil || get.Err != nil || len(get.Replicas) != 1 || !bytes.Equal(get.Value, []byte("v")) ||
+		get.Primary() != plain.ShardFor(key) {
+		t.Errorf("FleetGetAt on plain cluster: %+v %v", get, err)
+	}
 }
 
 func TestFleetRoundTripAndKill(t *testing.T) {

@@ -411,6 +411,10 @@ type ReplicaAttempt struct {
 	Member int
 	Comp   host.Completion
 	Err    error
+	// Quorum marks a write replica that counts toward WriteQuorum: it
+	// succeeded on a fully-alive member (a rebuilding member executes
+	// writes but does not count). Always false for reads.
+	Quorum bool
 }
 
 // OpResult is the outcome of one replicated operation.
@@ -512,8 +516,9 @@ func (f *Fleet) write(arrival ArrivalFunc, key, value []byte, del bool) OpResult
 		}
 		m.ops++
 		m.mu.Unlock()
-		res.Replicas = append(res.Replicas, ReplicaAttempt{Member: int(id), Comp: comp, Err: err})
-		if err == nil && st == stateAlive {
+		quorum := err == nil && st == stateAlive
+		res.Replicas = append(res.Replicas, ReplicaAttempt{Member: int(id), Comp: comp, Err: err, Quorum: quorum})
+		if quorum {
 			ackTimes = append(ackTimes, comp.Done)
 		}
 		if err != nil && cause == nil {

@@ -313,10 +313,23 @@ func TestKillRebuildRestoresReplica(t *testing.T) {
 	attempted := map[int]bool{}
 	stepped := false
 	for i := 0; i < n; i += 25 {
+		rebuilding, _, _ := f.State(0)
 		res := f.PutAt(nil, fkey(i), []byte("fresh-version"))
 		attempted[i] = true
 		if res.Acked {
 			overwritten[i] = true
+		}
+		// The rebuilding member executes the write but never counts toward
+		// the quorum; an alive replica counts exactly when it succeeded.
+		for _, ra := range res.Replicas {
+			switch {
+			case ra.Member == 0 && rebuilding == "rebuilding":
+				if ra.Quorum {
+					t.Errorf("put %d: rebuilding member 0 counted toward the quorum", i)
+				}
+			case ra.Quorum != (ra.Err == nil):
+				t.Errorf("put %d: alive member %d Quorum=%v with err %v", i, ra.Member, ra.Quorum, ra.Err)
+			}
 		}
 		if !stepped {
 			if _, err := rb.Step(40); err != nil {

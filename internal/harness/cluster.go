@@ -10,7 +10,10 @@ package harness
 
 import (
 	"bytes"
+	"cmp"
+	"errors"
 	"fmt"
+	"slices"
 
 	"anykey"
 	"anykey/internal/nand"
@@ -50,13 +53,13 @@ func (c *ClusterRunConfig) defaults() error {
 	return nil
 }
 
-// capacityBytes returns the fleet's usable capacity: all shards, divided by
-// the replication factor when the cluster replicates (every key occupies
+// clusterCapacity returns a cluster's usable capacity: all shards, divided
+// by the replication factor when the cluster replicates (every key occupies
 // Factor devices).
-func (c *ClusterRunConfig) capacityBytes() int64 {
-	b := int64(c.Cluster.Shards) * int64(c.Cluster.Device.CapacityMB) << 20
-	if f := c.Cluster.Replication.Factor; f > 1 {
-		b /= int64(f)
+func clusterCapacity(o anykey.ClusterOptions) int64 {
+	b := int64(o.Shards) * int64(o.Device.CapacityMB) << 20
+	if o.Replication.Factor > 1 {
+		b /= int64(o.Replication.Factor)
 	}
 	return b
 }
@@ -67,7 +70,24 @@ func (c *ClusterRunConfig) Population() (uint64, error) {
 	if err := c.defaults(); err != nil {
 		return 0, err
 	}
-	return c.basePopulation(c.capacityBytes()), nil
+	return c.basePopulation(clusterCapacity(c.Cluster)), nil
+}
+
+// openClusterRun opens a cluster run's cluster and its op generator over
+// the run's key population (base's defaults already applied). The caller
+// closes the cluster.
+func openClusterRun(opts anykey.ClusterOptions, base *BaseConfig) (*anykey.Cluster, *workload.Generator, error) {
+	gen, err := workload.NewGenerator(base.Workload, workload.Config{
+		Population: base.basePopulation(clusterCapacity(opts)),
+		Theta:      base.Theta,
+		WriteRatio: base.WriteRatio,
+		Seed:       base.Seed,
+	})
+	if err != nil {
+		return nil, nil, err
+	}
+	cl, err := anykey.OpenCluster(opts)
+	return cl, gen, err
 }
 
 // ClusterResult carries a cluster run's measurements: fleet-wide rollups
@@ -166,24 +186,11 @@ func RunCluster(cfg ClusterRunConfig) (*ClusterResult, error) {
 	if cfg.Trace != nil && cfg.Cluster.Device.Trace == nil {
 		cfg.Cluster.Device.Trace = cfg.Trace
 	}
-	cl, err := anykey.OpenCluster(cfg.Cluster)
+	cl, gen, err := openClusterRun(cfg.Cluster, &cfg.BaseConfig)
 	if err != nil {
 		return nil, err
 	}
 	defer cl.Close()
-	population, err := cfg.Population()
-	if err != nil {
-		return nil, err
-	}
-	gen, err := workload.NewGenerator(cfg.Workload, workload.Config{
-		Population: population,
-		Theta:      cfg.Theta,
-		WriteRatio: cfg.WriteRatio,
-		Seed:       cfg.Seed,
-	})
-	if err != nil {
-		return nil, err
-	}
 	res := &ClusterResult{
 		System:     fmt.Sprintf("%s x%d", cfg.Cluster.Device.Design, cfg.Cluster.Shards),
 		Workload:   cfg.Workload.Name,
@@ -193,62 +200,27 @@ func RunCluster(cfg ClusterRunConfig) (*ClusterResult, error) {
 		ShardOps:   make([]int64, cfg.Cluster.Shards),
 	}
 
-	// Warm-up: load every key once in shuffled order, in MultiPut waves.
-	// Each wave slot owns a reusable key/value buffer (shard devices copy
-	// on Put, and a wave completes before the next reuses the slots).
-	kbufs := make([][]byte, cfg.BatchSize)
-	vbufs := make([][]byte, cfg.BatchSize)
-	for done := uint64(0); done < gen.Population(); {
-		n := uint64(cfg.BatchSize)
-		if done+n > gen.Population() {
-			n = gen.Population() - done
-		}
-		for j := uint64(0); j < n; j++ {
-			id := gen.LoadID(done + j)
-			kbufs[j] = workload.AppendKey(kbufs[j][:0], cfg.Workload, id)
-			vbufs[j] = workload.AppendValue(vbufs[j][:0], cfg.Workload, id, 0)
-		}
-		br, err := cl.MultiPut(kbufs[:n], vbufs[:n])
-		if err != nil {
-			return nil, fmt.Errorf("harness: cluster warm-up: %w", err)
-		}
-		if err := br.FirstErr(); err != nil {
-			return nil, fmt.Errorf("harness: cluster warm-up put: %w", err)
-		}
-		done += n
-	}
-
-	if _, err := cl.Barrier(); err != nil {
+	warmStats, startClocks, err := warmCluster(cl, gen, cfg.Workload, cfg.BatchSize)
+	if err != nil {
 		return nil, err
-	}
-	warmStats := cl.Stats()
-	cl.ResetBreakdowns()
-	// Shard clocks are independent and never aligned (cross-shard time is
-	// merged, not propagated), so warm-up leaves each shard at its own
-	// instant. Execution elapsed time is therefore accounted per shard —
-	// each against its own exec-start clock — and the fleet's wall time is
-	// the slowest shard's elapsed, not a difference of merged maxima
-	// (which would credit or charge one shard's warm-up skew to another).
-	startClocks := make([]anykey.Time, len(warmStats.PerShard))
-	for i, ss := range warmStats.PerShard {
-		startClocks[i] = ss.Now
 	}
 
 	if cfg.Workload.Arrival.Open() {
-		// Open-loop execution: per-operation *At submission routed per
-		// shard, each arrival offset into its shard's own clock domain.
-		tgt := &clusterTarget{cl: cl, epochs: startClocks, tracers: cl.Tracers(), shardOps: res.ShardOps}
-		open, err := runOpenLoop(&cfg.BaseConfig, gen, tgt,
-			openHists{read: &res.ReadLat, write: &res.WriteLat}, &res.Verified)
+		// Open-loop execution: per-operation, per-replica *At submission,
+		// each arrival offset into its member's own clock domain.
+		tgt := newClusterTarget(cl, startClocks)
+		open, _, err := runOpenLoop(&cfg.BaseConfig, gen, tgt,
+			openHooks{read: &res.ReadLat, write: &res.WriteLat}, &res.Verified)
 		if err != nil {
 			return nil, err
 		}
 		res.Open = open
 		res.Ops = open.Attempts
+		res.ShardOps = tgt.shardOps
 		return finishCluster(cfg, cl, res, warmStats, startClocks)
 	}
 
-	targetBytes := int64(cfg.ExecFactor * float64(cfg.capacityBytes()))
+	targetBytes := int64(cfg.ExecFactor * float64(clusterCapacity(cfg.Cluster)))
 	var issuedBytes int64
 
 	// Execution: generate a wave of ops, split into the wave's puts and
@@ -326,13 +298,7 @@ func finishCluster(cfg ClusterRunConfig, cl *anykey.Cluster, res *ClusterResult,
 		return nil, err
 	}
 	finalStats := cl.Stats()
-	var slowest anykey.Duration
-	for i, ss := range finalStats.PerShard {
-		if d := ss.Now.Sub(startClocks[i]); d > slowest {
-			slowest = d
-		}
-	}
-	res.SimSeconds = slowest.Seconds()
+	res.SimSeconds = execSeconds(finalStats, startClocks)
 	if res.SimSeconds > 0 {
 		res.IOPS = float64(res.Ops) / res.SimSeconds
 	}
@@ -359,4 +325,166 @@ func finishCluster(cfg ClusterRunConfig, cl *anykey.Cluster, res *ClusterResult,
 		res.Cluster = cl
 	}
 	return res, nil
+}
+
+// warmCluster is the cluster warm-up: load every key once in shuffled order,
+// in MultiPut waves of batch keys, then barrier and reset the engines'
+// breakdowns. Each wave slot owns a reusable key/value buffer (shard
+// devices copy on Put, and a wave completes before the next reuses the
+// slots). It returns the post-warm-up stats and each member's clock at that
+// instant: member clocks are independent and never aligned (cross-shard
+// time is merged, not propagated), so warm-up leaves each member at its own
+// instant, and execution time is accounted per member against its own
+// exec-start clock.
+func warmCluster(cl *anykey.Cluster, gen *workload.Generator, spec workload.Spec, batch int) (anykey.ClusterStats, []anykey.Time, error) {
+	kbufs := make([][]byte, batch)
+	vbufs := make([][]byte, batch)
+	for done := uint64(0); done < gen.Population(); {
+		n := uint64(batch)
+		if done+n > gen.Population() {
+			n = gen.Population() - done
+		}
+		for j := uint64(0); j < n; j++ {
+			id := gen.LoadID(done + j)
+			kbufs[j] = workload.AppendKey(kbufs[j][:0], spec, id)
+			vbufs[j] = workload.AppendValue(vbufs[j][:0], spec, id, 0)
+		}
+		br, err := cl.MultiPut(kbufs[:n], vbufs[:n])
+		if err != nil {
+			return anykey.ClusterStats{}, nil, fmt.Errorf("harness: cluster warm-up: %w", err)
+		}
+		if err := br.FirstErr(); err != nil {
+			return anykey.ClusterStats{}, nil, fmt.Errorf("harness: cluster warm-up put: %w", err)
+		}
+		done += n
+	}
+	if _, err := cl.Barrier(); err != nil {
+		return anykey.ClusterStats{}, nil, err
+	}
+	warm := cl.Stats()
+	cl.ResetBreakdowns()
+	start := make([]anykey.Time, len(warm.PerShard))
+	for i, ss := range warm.PerShard {
+		start[i] = ss.Now
+	}
+	return warm, start, nil
+}
+
+// execSeconds is the execution phase's wall time in virtual seconds: the
+// slowest member's elapsed clock since its exec-start clock. Only the
+// members in start count — a member added mid-run has no warm-up anchor.
+func execSeconds(final anykey.ClusterStats, start []anykey.Time) float64 {
+	var slowest anykey.Duration
+	for i, t := range start {
+		if d := final.PerShard[i].Now.Sub(t); d > slowest {
+			slowest = d
+		}
+	}
+	return slowest.Seconds()
+}
+
+// clusterTarget drives a cluster's open loop at every replication factor:
+// each owner of a key receives the attempt at the same epoch-relative
+// instant, offset into its own clock domain (epochs holds each member's
+// exec-start clock). A write completes at its W-th earliest
+// quorum-counting replica, a read at its serving replica, each measured
+// against that member's epoch. A missed quorum, or a read with no readable
+// owner, is a failed attempt; shardOps tallies attempts by primary.
+type clusterTarget struct {
+	cl      *anykey.Cluster
+	quorum  int
+	epochs  []anykey.Time
+	tracers []*anykey.Tracer
+
+	shardOps                    []int64
+	readFailures, writeFailures int64
+
+	rel     anykey.Time        // the attempt being submitted
+	arrival anykey.ArrivalFunc // epochs[member] + rel, bound once
+	acks    []memberDone       // scratch for the write quorum pick
+}
+
+// memberDone is one replica's completion, epoch-relative.
+type memberDone struct {
+	rel    anykey.Time
+	member int
+}
+
+func newClusterTarget(cl *anykey.Cluster, epochs []anykey.Time) *clusterTarget {
+	// OpenCluster defaults WriteQuorum to Factor; a zero Factor is a
+	// Factor-1 fleet with a quorum of one.
+	t := &clusterTarget{cl: cl, quorum: max(cl.Replication().WriteQuorum, 1), epochs: epochs, tracers: cl.Tracers(),
+		shardOps: make([]int64, len(epochs))}
+	t.arrival = func(member int) anykey.Time { return t.epochs[member].Add(anykey.Duration(t.rel)) }
+	return t
+}
+
+// adopt registers a member created at epoch-relative instant rel: its fresh
+// device's clock starts "now", so its epoch is back-dated to keep epoch+rel
+// consistent with the founding members' domains.
+func (t *clusterTarget) adopt(member int, rel anykey.Time) {
+	for len(t.epochs) <= member {
+		t.epochs = append(t.epochs, 0)
+		t.shardOps = append(t.shardOps, 0)
+	}
+	t.epochs[member] = max(t.cl.ShardNow(member).Add(-anykey.Duration(rel)), 0)
+}
+
+func (t *clusterTarget) submit(rel anykey.Time, op workload.Op) (openDone, error) {
+	t.rel = rel
+	var (
+		fres anykey.FleetOpResult
+		err  error
+	)
+	switch op.Kind {
+	case workload.OpPut:
+		fres, err = t.cl.FleetPutAt(t.arrival, op.Key, op.Value)
+	case workload.OpScan:
+		return openDone{}, errors.New("harness: cluster open loop has no scan path")
+	default:
+		fres, err = t.cl.FleetGetAt(t.arrival, op.Key)
+	}
+	if err != nil {
+		return openDone{}, err
+	}
+	t.shardOps[fres.Primary()]++
+
+	if op.Kind == workload.OpPut {
+		if fres.Err != nil {
+			// Quorum not met or every replica down. Any replica that
+			// executed keeps the data; the loop taints the key.
+			t.writeFailures++
+			return openDone{failed: true}, nil
+		}
+		t.acks = t.acks[:0]
+		for _, ra := range fres.Replicas {
+			if ra.Quorum {
+				t.acks = append(t.acks, memberDone{anykey.Time(ra.Comp.Done.Sub(t.epochs[ra.Member])), ra.Member})
+			}
+		}
+		slices.SortFunc(t.acks, func(a, b memberDone) int {
+			return cmp.Or(cmp.Compare(a.rel, b.rel), cmp.Compare(a.member, b.member))
+		})
+		ack := t.acks[t.quorum-1]
+		return t.done(ack.member, ack.rel, nil), nil
+	}
+	if fres.Err != nil {
+		if !errors.Is(fres.Err, anykey.ErrShardDown) && !errors.Is(fres.Err, anykey.ErrNotFound) {
+			return openDone{}, fres.Err
+		}
+		// Every owner dead, or the key unreadable on the survivors (an
+		// R=1 outage does both).
+		t.readFailures++
+		return openDone{failed: true}, nil
+	}
+	return t.done(fres.Served, anykey.Time(fres.AckDone.Sub(t.epochs[fres.Served])), fres.Value), nil
+}
+
+// done builds the attempt's outcome as completed by member.
+func (t *clusterTarget) done(member int, rel anykey.Time, value []byte) openDone {
+	var tr *anykey.Tracer
+	if member < len(t.tracers) {
+		tr = t.tracers[member]
+	}
+	return openDone{doneRel: rel, value: value, tracer: tr, epoch: t.epochs[member]}
 }

@@ -339,9 +339,9 @@ func Run(cfg RunConfig) (*Result, error) {
 	dev.Trace().Reset()
 
 	if cfg.Workload.Arrival.Open() {
-		open, err := runOpenLoop(&cfg.BaseConfig, gen,
+		open, _, err := runOpenLoop(&cfg.BaseConfig, gen,
 			&deviceTarget{eng: eng, tr: dev.Trace(), epoch: execStart},
-			openHists{read: &res.ReadLat, write: &res.WriteLat, scan: &res.ScanLat},
+			openHooks{read: &res.ReadLat, write: &res.WriteLat, scan: &res.ScanLat},
 			&res.Verified)
 		if err != nil {
 			return nil, err

@@ -7,13 +7,16 @@
 // metastable failure (retry amplification keeping a device saturated after
 // the offered load drops).
 //
-// One event loop drives both the single-device engine (via its *At
-// submission path) and the cluster (via per-shard *At submission); the
-// openTarget interface hides the difference. All times inside the loop are
-// relative to the execution epoch — each target adds its own clock-domain
-// offset, which for a cluster is per shard (shard clocks are independent
-// and a key always routes to the same shard, so an op's end-to-end latency
-// is well defined within its shard's domain).
+// One event loop (runOpenLoop) drives every open-loop run: the
+// single-device engine via its *At submission path, and the cluster — at
+// every replication factor, with or without a fleet scenario — via
+// per-replica *At submission. The openTarget interface hides the
+// difference; openHooks carries a fleet scenario's events and durability
+// oracle. All times inside the loop are relative to the execution epoch —
+// each target adds its own clock-domain offset, which for a cluster is per
+// member (member clocks are independent, so every replica receives the
+// arrival in its own domain and a completion is measured against the
+// epoch of the member that produced it).
 package harness
 
 import (
@@ -61,6 +64,10 @@ type OpenStats struct {
 
 // openDone is one attempt's outcome in epoch-relative time.
 type openDone struct {
+	// failed marks an attempt the target rejected outright: a write that
+	// missed its quorum, or a read with no readable owner. The loop retries
+	// it without counting a timeout; doneRel is meaningless.
+	failed  bool
 	doneRel anykey.Time
 	value   []byte
 	pairs   int
@@ -109,55 +116,24 @@ func (t *deviceTarget) submit(rel anykey.Time, op workload.Op) (openDone, error)
 	}, nil
 }
 
-// clusterTarget drives per-shard open-loop submission; epochs holds each
-// shard's exec-start clock and shardOps the routing tally.
-type clusterTarget struct {
-	cl       *anykey.Cluster
-	epochs   []anykey.Time
-	tracers  []*anykey.Tracer
-	shardOps []int64
-}
-
-func (t *clusterTarget) submit(rel anykey.Time, op workload.Op) (openDone, error) {
-	if op.Kind == workload.OpScan {
-		return openDone{}, errors.New("harness: cluster open loop has no scan path")
-	}
-	s := t.cl.ShardFor(op.Key)
-	at := t.epochs[s].Add(anykey.Duration(rel))
-	var (
-		comp anykey.Completion
-		err  error
-	)
-	if op.Kind == workload.OpPut {
-		comp, _, err = t.cl.PutAt(at, op.Key, op.Value)
-	} else {
-		comp, _, err = t.cl.GetAt(at, op.Key)
-	}
-	if err != nil {
-		return openDone{}, err
-	}
-	t.shardOps[s]++
-	var tr *anykey.Tracer
-	if t.tracers != nil {
-		tr = t.tracers[s]
-	}
-	return openDone{
-		doneRel: anykey.Time(comp.Done.Sub(t.epochs[s])),
-		value:   comp.Value,
-		pairs:   len(comp.Pairs),
-		tracer:  tr,
-		epoch:   t.epochs[s],
-	}, nil
-}
-
-// openHists routes completed-operation end-to-end latencies into the
-// enclosing result's histograms (scan may be nil for cluster runs).
-type openHists struct {
+// openHooks is what a run plugs into the loop: the histograms completed
+// operations' end-to-end latencies land in (scan may be nil for cluster
+// runs), and two optional scenario hooks.
+type openHooks struct {
 	read, write, scan *stats.Histogram
+
+	// before runs ahead of each attempt at its epoch-relative arrival
+	// instant: a fleet scenario fires its kill/rebuild/add-shard events and
+	// steps its background streams here.
+	before func(now anykey.Time) error
+
+	// completed sees every operation whose final attempt met the deadline,
+	// with its end-to-end latency (first arrival to final completion).
+	completed func(cur pendingOp, e2e anykey.Duration)
 }
 
-// pendingOp is a timed-out operation waiting to re-enter the arrival
-// stream.
+// pendingOp is an operation in flight through the loop: a fresh arrival,
+// or a timed-out or failed one waiting to re-enter the arrival stream.
 type pendingOp struct {
 	at       anykey.Time // epoch-relative re-arrival time
 	seq      int64       // fresh-arrival index, the deterministic tie-break
@@ -191,11 +167,13 @@ const arrivalSeedOffset = 0x9E3779B9
 
 // runOpenLoop drives the open-loop execution phase against a target. All
 // bookkeeping is in epoch-relative virtual time; the caller computes
-// Goodput once it knows the phase's total simulated seconds.
-func runOpenLoop(cfg *BaseConfig, gen *workload.Generator, tgt openTarget, h openHists, verified *int64) (*OpenStats, error) {
+// Goodput once it knows the phase's total simulated seconds. It also
+// returns the taint set: keys whose version ordering the retry protocol
+// broke (a timed-out or failed put).
+func runOpenLoop(cfg *BaseConfig, gen *workload.Generator, tgt openTarget, h openHooks, verified *int64) (*OpenStats, map[uint64]struct{}, error) {
 	arr, err := workload.NewArrivals(cfg.Workload.Arrival, cfg.Seed+arrivalSeedOffset)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	st := &OpenStats{Arrival: cfg.Workload.Arrival, Timeout: cfg.Timeout, SLO: cfg.SLO}
 	horizon := anykey.Time(cfg.Horizon)
@@ -206,12 +184,27 @@ func runOpenLoop(cfg *BaseConfig, gen *workload.Generator, tgt openTarget, h ope
 		freshDone    = nextFresh > horizon
 		lastFreshRel anykey.Time
 		lastDoneRel  anykey.Time
-		// stale marks keys whose ordering the retry protocol has broken: a
+		// tainted marks keys whose ordering the retry protocol has broken: a
 		// timed-out put's attempts re-execute after later fresh puts to the
-		// same key, so the device may legitimately hold an older version than
-		// the generator expects. Reads of such keys skip payload verification.
-		stale map[uint64]struct{}
+		// same key, and a failed put may still have landed on some replicas,
+		// so the device may legitimately hold an older version than the
+		// generator expects. Reads of such keys skip payload verification.
+		tainted = map[uint64]struct{}{}
 	)
+	// requeue schedules cur's next attempt after the timeout plus backoff,
+	// or drops it once the retry budget is spent.
+	requeue := func(cur pendingOp) (pendingOp, bool) {
+		if cur.attempt >= cfg.Retry.MaxRetries {
+			st.Dropped++
+			return cur, false
+		}
+		retry := cur
+		retry.attempt++
+		retry.at = cur.at.Add(cfg.Timeout + cfg.Retry.delay(retry.attempt))
+		st.Retries++
+		heap.Push(&pending, retry)
+		return retry, true
+	}
 	for {
 		if freshDone || (cfg.MaxOps > 0 && st.Offered >= cfg.MaxOps) {
 			freshDone = true
@@ -232,12 +225,26 @@ func runOpenLoop(cfg *BaseConfig, gen *workload.Generator, tgt openTarget, h ope
 				freshDone = true
 			}
 		}
+		if h.before != nil {
+			if err := h.before(cur.at); err != nil {
+				return nil, nil, err
+			}
+		}
 
 		done, err := tgt.submit(cur.at, cur.op)
 		if err != nil {
-			return nil, fmt.Errorf("harness: open-loop %v: %w", cur.op.Kind, err)
+			return nil, nil, fmt.Errorf("harness: open-loop %v: %w", cur.op.Kind, err)
 		}
 		st.Attempts++
+		if done.failed {
+			// Rejected outright: no deadline was missed, but the operation
+			// still needs another attempt.
+			if cur.op.Kind == workload.OpPut {
+				tainted[cur.op.ID] = struct{}{}
+			}
+			requeue(cur)
+			continue
+		}
 		if done.doneRel > lastDoneRel {
 			lastDoneRel = done.doneRel
 		}
@@ -252,28 +259,17 @@ func runOpenLoop(cfg *BaseConfig, gen *workload.Generator, tgt openTarget, h ope
 			// how retries amplify load under overload.
 			st.Timeouts++
 			if cur.op.Kind == workload.OpPut {
-				if stale == nil {
-					stale = make(map[uint64]struct{})
-				}
-				stale[cur.op.ID] = struct{}{}
+				tainted[cur.op.ID] = struct{}{}
 			}
 			deadline := done.epoch.Add(anykey.Duration(cur.at) + cfg.Timeout)
 			done.tracer.OpSpan(trace.BGTrack(trace.CauseTimeout), trace.EvTimeout,
 				trace.CauseTimeout, seq, deadline, deadline,
 				done.epoch.Add(anykey.Duration(done.doneRel)), int64(cur.attempt))
-			if cur.attempt >= cfg.Retry.MaxRetries {
-				st.Dropped++
-				continue
+			if retry, ok := requeue(cur); ok {
+				at := done.epoch.Add(anykey.Duration(retry.at))
+				done.tracer.OpSpan(trace.BGTrack(trace.CauseRetry), trace.EvRetry,
+					trace.CauseRetry, seq, at, at, at, int64(retry.attempt))
 			}
-			retry := cur
-			retry.attempt++
-			retry.at = cur.at.Add(cfg.Timeout + cfg.Retry.delay(retry.attempt))
-			st.Retries++
-			done.tracer.OpSpan(trace.BGTrack(trace.CauseRetry), trace.EvRetry,
-				trace.CauseRetry, seq,
-				done.epoch.Add(anykey.Duration(retry.at)), done.epoch.Add(anykey.Duration(retry.at)),
-				done.epoch.Add(anykey.Duration(retry.at)), int64(retry.attempt))
-			heap.Push(&pending, retry)
 			continue
 		}
 
@@ -290,28 +286,32 @@ func runOpenLoop(cfg *BaseConfig, gen *workload.Generator, tgt openTarget, h ope
 		case workload.OpScan:
 			h.scan.Record(e2e)
 			if !cfg.NoVerify && done.pairs == 0 {
-				return nil, errors.New("harness: open-loop scan returned nothing on a loaded device")
+				return nil, nil, errors.New("harness: open-loop scan returned nothing on a loaded device")
 			}
 		default:
 			h.read.Record(e2e)
 			// Verify fresh reads of cleanly-ordered keys only: by a
 			// retry's re-arrival the generator may have advanced the key's
-			// version through later fresh writes, and a key with a
-			// timed-out put may hold an older version than expected (the
-			// put's late attempts re-execute after newer writes).
+			// version through later fresh writes, and a tainted key may
+			// hold an older version than expected. During a fleet scenario
+			// this is what checks double-reads under migration and replica
+			// fallback during an outage.
 			if !cfg.NoVerify && cur.attempt == 0 {
-				if _, tainted := stale[cur.op.ID]; !tainted {
+				if _, ok := tainted[cur.op.ID]; !ok {
 					if !bytes.Equal(done.value, gen.ExpectedValue(cur.op.ID)) {
-						return nil, fmt.Errorf("harness: open-loop read of id %d returned wrong payload", cur.op.ID)
+						return nil, nil, fmt.Errorf("harness: open-loop read of id %d returned wrong payload", cur.op.ID)
 					}
 					*verified++
 				}
 			}
+		}
+		if h.completed != nil {
+			h.completed(cur, e2e)
 		}
 	}
 
 	if d := lastDoneRel.Sub(lastFreshRel); d > 0 {
 		st.RecoverTime = d
 	}
-	return st, nil
+	return st, tainted, nil
 }
